@@ -92,11 +92,25 @@ def dimension(lam):
     return math.factorial(n) // denom
 
 
+@lru_cache(maxsize=None)
+def _class_sizes(n):
+    """|C_rho| for each rho, in `partitions_of(n)` order."""
+    return tuple(class_size(rho) for rho in partitions_of(n))
+
+
+@lru_cache(maxsize=None)
+def _char_row(lam):
+    """chi^lam(rho) for each rho, in `partitions_of(|lam|)` order."""
+    return tuple(_mn(lam, rho) for rho in partitions_of(size(lam)))
+
+
 def multi_kronecker(factors, ceiling=DEFAULT_ORACLE_CEILING):
     """Multiplicity of the trivial in the tensor product of the factors.
 
     For factors (l1, ..., lk) this is (1/n!) sum_rho |C_rho| prod chi^{li}(rho);
-    with k = 3 it is the usual Kronecker coefficient.
+    with k = 3 it is the usual Kronecker coefficient.  The sum is one exact
+    dot product of the class sizes of S_n with the factors' character rows;
+    both are cached, per n and per shape, the first time they are needed.
     """
     factors = tuple(tuple(f) for f in factors)
     if not factors:
@@ -110,14 +124,10 @@ def multi_kronecker(factors, ceiling=DEFAULT_ORACLE_CEILING):
         )
     if n == 0:
         return 1
-    total = 0
-    for rho in partitions_of(n):
-        term = class_size(rho)
-        for f in factors:
-            if term == 0:
-                break
-            term *= _mn(f, rho)
-        total += term
+    rows = [_char_row(f) for f in factors]
+    total = sum(
+        c * math.prod(vals) for c, *vals in zip(_class_sizes(n), *rows)
+    )
     fact = math.factorial(n)
     assert total % fact == 0, "class sum not divisible by n!"
     coeff = total // fact
@@ -148,12 +158,13 @@ def permutation_module_support(lam, ceiling=DEFAULT_ORACLE_CEILING):
     if ceiling is not None and n > ceiling:
         raise OracleCeilingError("oracle ceiling exceeded")
     fact = math.factorial(n)
+    weights = [
+        c * rho.count(1) * x
+        for c, rho, x in zip(_class_sizes(n), partitions_of(n), _char_row(lam))
+    ]
     out = set()
     for mu in partitions_of(n):
-        total = 0
-        for rho in partitions_of(n):
-            fixed = sum(1 for p in rho if p == 1)
-            total += class_size(rho) * fixed * _mn(lam, rho) * _mn(mu, rho)
+        total = sum(w * y for w, y in zip(weights, _char_row(mu)))
         assert total % fact == 0
         if total // fact > 0:
             out.add(mu)

@@ -19,7 +19,6 @@ from .prover import (
     Budget,
     DEFAULT_NODE_BUDGET,
     prove_in_staircase_square,
-    prove_rectangle_cube,
     verify_saxl,
 )
 from .verify import verify_certificate

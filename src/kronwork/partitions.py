@@ -4,7 +4,6 @@ Partitions are plain tuples of positive ints in weakly decreasing order.
 The empty partition is ().
 """
 
-import bisect
 from functools import lru_cache
 
 

@@ -1,6 +1,5 @@
 """Certificate search for positivity in staircase tensor squares."""
 
-import json
 import os
 import sys
 
@@ -574,6 +573,27 @@ def _expand_factors(goal, s, vflags, g1, g2, leaves, need_square, budget, ceilin
 # Saxl driver
 
 
+def _read_cached(path, goal):
+    """The certificate cached at path, or None unless it proves exactly goal.
+
+    A missing, unreadable or foreign entry is a cache miss, so the caller
+    proves the target again and overwrites it.
+    """
+    try:
+        with open(path) as fh:
+            cert = Certificate.from_json(fh.read())
+    except FileNotFoundError:
+        return None
+    except (ValueError, KeyError, TypeError) as e:
+        print("saxl: re-proving %s: unreadable (%s)" % (path, e), file=sys.stderr)
+        return None
+    if cert.goal != goal:
+        print("saxl: re-proving %s: it proves %r" % (path, cert.goal),
+              file=sys.stderr)
+        return None
+    return cert
+
+
 def verify_saxl(m, cache_dir=None, ceiling=ch.DEFAULT_ORACLE_CEILING,
                 budget_nodes=DEFAULT_NODE_BUDGET, progress=False):
     """Prove every partition of m(m+1)/2 inside the staircase square.
@@ -582,6 +602,7 @@ def verify_saxl(m, cache_dir=None, ceiling=ch.DEFAULT_ORACLE_CEILING,
     and cached as JSON files when a cache directory is given.
     """
     n = pt.triangular(m)
+    rho = pt.staircase(m)
     total = pt.partition_count(n)
     proved = 0
     failures = []
@@ -595,9 +616,7 @@ def verify_saxl(m, cache_dir=None, ceiling=ch.DEFAULT_ORACLE_CEILING,
             path = os.path.join(
                 cache_dir, "m%d_%s.json" % (m, "-".join(str(r) for r in nu) or "0")
             )
-            if os.path.exists(path):
-                with open(path) as fh:
-                    cert = Certificate.from_json(fh.read())
+            cert = _read_cached(path, (nu, rho, rho))
         if cert is None:
             cert = prove_in_staircase_square(
                 m, nu, budget=Budget(budget_nodes), ceiling=ceiling

@@ -4,9 +4,6 @@ Re-implements every rule check locally so that verification shares no
 logic with the search code that produced the certificate.
 """
 
-import math
-
-from .certificates import Certificate
 from . import characters
 
 
@@ -155,11 +152,7 @@ def _verify(cert, ceiling):
         a, b = _two_children(cert)
         _verify(a, ceiling)
         _verify(b, ceiling)
-        vertical = list(cert.meta.get("vertical", ()))
-        if len(vertical) % 2 != 0:
-            _fail(cert, "odd vertical coordinate set")
-        if any(v < 0 or v >= len(goal) for v in vertical):
-            _fail(cert, "vertical coordinate out of range")
+        vertical = _coord_set(cert, "vertical")
         want = tuple(
             _multiset_sum(x, y) if i in vertical else _row_sum(x, y)
             for i, (x, y) in enumerate(zip(a.goal, b.goal))
@@ -169,9 +162,7 @@ def _verify(cert, ceiling):
     elif kind == "Conjugate":
         (a,) = _one_child(cert)
         _verify(a, ceiling)
-        coords = list(cert.meta.get("coords", ()))
-        if len(coords) % 2 != 0:
-            _fail(cert, "odd conjugation set")
+        coords = _coord_set(cert, "coords")
         want = tuple(
             _conj(p) if i in coords else p for i, p in enumerate(a.goal)
         )
@@ -188,6 +179,26 @@ def _verify(cert, ceiling):
             _fail(cert, "goal does not match permuted child")
     else:
         _fail(cert, "unknown kind")
+
+
+def _coord_set(cert, key):
+    """meta[key] as an even set of distinct goal coordinates.
+
+    A repeated coordinate would make the list even while the set it acts on
+    is odd, so duplicates are rejected rather than collapsed.
+    """
+    coords = cert.meta.get(key, ())
+    if not isinstance(coords, (list, tuple)):
+        _fail(cert, "%s is not a list of coordinates" % key)
+    if any(type(c) is not int for c in coords):
+        _fail(cert, "%s holds a non-integer coordinate" % key)
+    if len(set(coords)) != len(coords):
+        _fail(cert, "%s repeats a coordinate" % key)
+    if any(c < 0 or c >= len(cert.goal) for c in coords):
+        _fail(cert, "%s coordinate out of range" % key)
+    if len(coords) % 2 != 0:
+        _fail(cert, "%s is an odd coordinate set" % key)
+    return frozenset(coords)
 
 
 def _two_children(cert):

@@ -164,3 +164,41 @@ def test_leaves_and_kinds():
     big = pool[1]
     assert len(big.leaves()) == 2
     assert "DominanceStaircase" in big.leaf_kinds() or "OracleLeaf" in big.leaf_kinds()
+
+
+@pytest.mark.parametrize("vertical", [[0, 0], [1, 1], [0, 7], [-1, 0]])
+def test_verifier_rejects_repeated_or_out_of_range_vertical(vertical):
+    # a repeated coordinate makes an odd vertical set look even: with
+    # [0, 0] the target is summed vertically, the factors horizontally
+    leaf = ct.base_oracle(((1,), (1,), (1,)))
+    want = tuple(
+        pt.vsum(x, x) if i in vertical else pt.hsum(x, x)
+        for i, x in enumerate(leaf.goal)
+    )
+    bad = ct.Certificate("VVHSum", want, (leaf, leaf), {"vertical": vertical})
+    ok, msg = verify_certificate(bad)
+    assert not ok and "vertical" in msg
+    assert ch.multi_kronecker(want) == 0
+
+
+@pytest.mark.parametrize("coords", [[0, 0], [0, 7], [0, -3]])
+def test_verifier_rejects_repeated_or_out_of_range_conjugation(coords):
+    # each of these conjugates coordinate 0 alone: (1,1,1) in (3) x (3)
+    leaf = ct.base_oracle(((3,), (3,), (3,)))
+    bad = ct.Certificate("Conjugate", ((1, 1, 1), (3,), (3,)), (leaf,),
+                         {"coords": coords})
+    ok, msg = verify_certificate(bad)
+    assert not ok and "coords" in msg
+    assert ch.kronecker((1, 1, 1), (3,), (3,)) == 0
+
+
+@pytest.mark.parametrize("meta", [{"vertical": ["a", "b"]},
+                                  {"vertical": [1, None]},
+                                  {"vertical": 12},
+                                  {"vertical": [True, 2]}])
+def test_verifier_fails_closed_on_malformed_vertical(meta):
+    a = ct.base_oracle(((2, 1), (2, 1), (2, 1)))
+    good = ct.combine_vvh(a, a, (1, 2))
+    bad = ct.Certificate("VVHSum", good.goal, good.children, meta)
+    ok, _ = verify_certificate(bad)
+    assert not ok

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -88,7 +90,7 @@ def test_tensor_square_support_examples():
 
 
 def test_permutation_module_support_is_move_neighborhood():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for lam in pt.partitions_of(n):
             supp = ch.permutation_module_support(lam)
             assert supp == {lam} | pt.move_neighbors(lam)
@@ -99,3 +101,44 @@ def test_exception_scan_small():
     assert all(missing for missing in scan.values())
     scan = ch.saxl_exception_scan(3)
     assert any(not missing for missing in scan.values())
+
+
+def reference_multi_kronecker(factors):
+    """The class sum one class at a time, as the oracle once computed it."""
+    n = pt.size(factors[0])
+    total = 0
+    for rho in pt.partitions_of(n):
+        term = ch.class_size(rho)
+        for f in factors:
+            term *= ch.character(f, rho)
+        total += term
+    assert total % math.factorial(n) == 0
+    return total // math.factorial(n)
+
+
+def test_multi_kronecker_matches_per_class_sum():
+    for n in range(7):
+        shapes = pt.partitions_of(n)
+        for triple in itertools.product(shapes, repeat=3):
+            assert ch.multi_kronecker(triple) == reference_multi_kronecker(triple)
+    for n in range(5):
+        for quad in itertools.product(pt.partitions_of(n), repeat=4):
+            assert ch.multi_kronecker(quad) == reference_multi_kronecker(quad)
+    rng = random.Random(7)
+    for n in (6, 8, 10):
+        shapes = pt.partitions_of(n)
+        for _ in range(40):
+            factors = tuple(rng.choice(shapes) for _ in range(rng.randint(2, 5)))
+            assert ch.multi_kronecker(factors) == reference_multi_kronecker(factors)
+
+
+def test_char_row_and_class_sizes_follow_partition_order():
+    for n in range(8):
+        classes = pt.partitions_of(n)
+        assert ch._class_sizes(n) == tuple(ch.class_size(r) for r in classes)
+        for lam in classes:
+            row = ch._char_row(lam)
+            assert len(row) == len(classes)
+            for i, rho in enumerate(classes):
+                assert row[i] == ch.character(lam, rho)
+

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from kronwork import characters as ch
@@ -10,6 +12,7 @@ from kronwork.prover import (
     prove_rectangle_cube,
     verify_saxl,
 )
+from kronwork.certificates import Certificate
 from kronwork.verify import verify_certificate
 
 
@@ -106,3 +109,52 @@ def test_rectangle_cube_four_fold_positive_small():
         assert rest == 0
         rho = pt.staircase(m)
         assert ch.multi_kronecker((rect, rho, rho, rho)) > 0
+
+
+def _clobber_cache(cache, m, nu):
+    """Overwrite every m cache file with the certificate for nu."""
+    text = prove_in_staircase_square(m, nu).to_json()
+    for name in os.listdir(cache):
+        with open(os.path.join(cache, name), "w") as fh:
+            fh.write(text)
+
+
+def _cached_goals(cache):
+    goals = {}
+    for name in os.listdir(cache):
+        with open(os.path.join(cache, name)) as fh:
+            goals[name] = Certificate.from_json(fh.read()).goal
+    return goals
+
+
+def test_verify_saxl_reproves_foreign_cache_entries(tmp_path):
+    cache = str(tmp_path / "m4")
+    first = verify_saxl(4, cache_dir=cache)
+    goals = _cached_goals(cache)
+    _clobber_cache(cache, 4, pt.staircase(4))
+    assert verify_saxl(4, cache_dir=cache) == first
+    assert _cached_goals(cache) == goals
+
+
+def test_verify_saxl_counts_only_matching_goals(tmp_path):
+    # with neither search nor oracle some m=4 targets have no proof; a cache
+    # whose every entry proves the staircase itself must not hide that
+    weak = dict(ceiling=0, budget_nodes=0)
+    cold = verify_saxl(4, cache_dir=str(tmp_path / "cold"), **weak)
+    assert not cold["complete"]
+    cache = str(tmp_path / "clobbered")
+    verify_saxl(4, cache_dir=cache)
+    _clobber_cache(cache, 4, pt.staircase(4))
+    assert verify_saxl(4, cache_dir=cache, **weak) == cold
+
+
+def test_verify_saxl_reproves_truncated_cache_entries(tmp_path):
+    cache = str(tmp_path / "m3")
+    first = verify_saxl(3, cache_dir=cache)
+    for name in os.listdir(cache):
+        path = os.path.join(cache, name)
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(text[: len(text) // 2])
+    assert verify_saxl(3, cache_dir=cache) == first
