@@ -20,6 +20,10 @@ LEAF_KINDS = (
 )
 INNER_KINDS = ("HSum", "VVHSum", "Conjugate", "Permute")
 
+# What `Certificate.from_json` raises on input that is not a certificate:
+# malformed JSON (a ValueError), missing keys, wrong types, deep nesting.
+DECODE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, RecursionError)
+
 
 @dataclass(frozen=True)
 class Certificate:

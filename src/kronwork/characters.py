@@ -5,6 +5,7 @@ sets; everything is integer arithmetic.
 """
 
 import math
+import operator
 from functools import lru_cache
 
 from .partitions import partitions_of, size
@@ -124,10 +125,10 @@ def multi_kronecker(factors, ceiling=DEFAULT_ORACLE_CEILING):
         )
     if n == 0:
         return 1
-    rows = [_char_row(f) for f in factors]
-    total = sum(
-        c * math.prod(vals) for c, *vals in zip(_class_sizes(n), *rows)
-    )
+    prod = _class_sizes(n)
+    for f in factors:
+        prod = map(operator.mul, prod, _char_row(f))
+    total = sum(prod)
     fact = math.factorial(n)
     assert total % fact == 0, "class sum not divisible by n!"
     coeff = total // fact

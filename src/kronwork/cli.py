@@ -14,7 +14,7 @@ from . import characters as ch
 from . import decomp
 from . import partitions as pt
 from . import samplers as sp
-from .certificates import Certificate
+from .certificates import DECODE_ERRORS, Certificate
 from .prover import (
     Budget,
     DEFAULT_NODE_BUDGET,
@@ -157,7 +157,10 @@ def _cmd_verify_cert(args):
     else:
         with open(args.file) as fh:
             text = fh.read()
-    cert = Certificate.from_json(text)
+    try:
+        cert = Certificate.from_json(text)
+    except DECODE_ERRORS as exc:
+        raise ValueError("not a certificate: %r" % (exc,)) from None
     ok, msg = verify_certificate(cert, ceiling=args.oracle_ceiling)
     return {
         "ok": ok,

@@ -80,20 +80,6 @@ def vsum(lam, mu):
     return from_rows(lam + mu)
 
 
-def h_scale(k, lam):
-    out = ()
-    for _ in range(k):
-        out = hsum(out, lam)
-    return out
-
-
-def v_scale(k, lam):
-    out = ()
-    for _ in range(k):
-        out = vsum(out, lam)
-    return out
-
-
 def staircase(m):
     """The staircase with rows m, m-1, ..., 1."""
     if m < 0:
@@ -249,16 +235,6 @@ def blockwise_distance(lam, mu):
     plus, minus = _row_surpluses(lam, mu)
     assert plus == minus
     return plus
-
-
-def generalized_distance(lam, mu):
-    """Moves plus single-box additions/removals between any two partitions.
-
-    A move cancels one unit of surplus and one of deficit, an addition or
-    removal only one of them, so the larger of the two totals is the cost.
-    """
-    plus, minus = _row_surpluses(lam, mu)
-    return max(plus, minus)
 
 
 def move_trace(lam, mu):

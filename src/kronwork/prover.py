@@ -2,10 +2,12 @@
 
 import os
 import sys
+from itertools import groupby
 
 from . import partitions as pt
 from . import characters as ch
 from .certificates import (
+    DECODE_ERRORS,
     Certificate,
     base_dominance,
     base_generalized_dominance,
@@ -336,34 +338,40 @@ def _h_splits(p, s):
 
 
 def _v_splits(p, s):
-    """Row submultisets of p of total size s, as partitions."""
+    """Row submultisets of p of total size s, as partitions.
+
+    Equal rows are taken as one group, 0..count copies at a time.  The
+    results go into a set in the order an exclude-first walk over single
+    rows first meets them, so the list keeps that walk's set order.
+    """
     out = set()
-    rows = list(p)
+    groups = [(v, len(list(run))) for v, run in groupby(p)]
 
-    def rec(i, left, acc):
+    def rec(j, left, acc):
         if left == 0:
-            out.add(tuple(acc))
+            out.add(acc)
             return
-        if i == len(rows) or left < 0:
+        if j == len(groups):
             return
-        rec(i + 1, left, acc)
-        if rows[i] <= left:
-            acc.append(rows[i])
-            rec(i + 1, left - rows[i], acc)
-            acc.pop()
+        v, count = groups[j]
+        for k in range(min(count, left // v) + 1):
+            rec(j + 1, left - k * v, acc + (v,) * k)
 
-    rec(0, s, [])
-    return [lam for lam in out]
+    rec(0, s, ())
+    return list(out)
 
 
 _SPLIT_CACHE = {}
 
 
 def _coord_splits(p, s, vertical):
+    """(piece, complement) for each split of p at size s; the complement is
+    None when p minus the piece is not a partition."""
     key = (p, s, vertical)
     hit = _SPLIT_CACHE.get(key)
     if hit is None:
-        hit = _v_splits(p, s) if vertical else _h_splits(p, s)
+        pieces = _v_splits(p, s) if vertical else _h_splits(p, s)
+        hit = [(q, _complement(p, q, vertical)) for q in pieces]
         if len(_SPLIT_CACHE) > 200000:
             _SPLIT_CACHE.clear()
         _SPLIT_CACHE[key] = hit
@@ -407,15 +415,13 @@ def _chunk_search(goal, budget, ceiling):
         for vertical in _VERTICAL_PATTERNS:
             vflags = [c in vertical for c in range(3)]
             for t in range(min(ceiling, n - 1), 0, -1):
-                for p0 in _coord_splits(goal[0], t, vflags[0]):
-                    c0 = _complement(goal[0], p0, vflags[0])
+                for p0, c0 in _coord_splits(goal[0], t, vflags[0]):
                     if c0 is None:
                         continue
-                    for p1 in _coord_splits(goal[1], t, vflags[1]):
-                        c1 = _complement(goal[1], p1, vflags[1])
+                    for p1, c1 in _coord_splits(goal[1], t, vflags[1]):
                         if c1 is None:
                             continue
-                        for p2 in _coord_splits(goal[2], t, vflags[2]):
+                        for p2, c2 in _coord_splits(goal[2], t, vflags[2]):
                             if not budget.spend():
                                 return None
                             # one-row and one-column pieces pair up by the
@@ -426,7 +432,6 @@ def _chunk_search(goal, budget, ceiling):
                             elif t > 1 and p0 == (1,) * t:
                                 if p2 != pt.conjugate(p1):
                                     continue
-                            c2 = _complement(goal[2], p2, vflags[2])
                             if c2 is None:
                                 continue
                             leaf = _oracle_leaf((p0, p1, p2), ceiling)
@@ -494,13 +499,11 @@ def _tree(goal, leaves, need_square, budget, ceiling, memo):
             first = _coord_splits(goal[0], s, vflags[0])
             if not first:
                 continue
-            for p0 in first:
-                g1 = [p0]
-                g2 = [_complement(goal[0], p0, vflags[0])]
-                if g2[0] is None:
+            for p0, c0 in first:
+                if c0 is None:
                     continue
                 ok = _expand_factors(
-                    goal, s, vflags, g1, g2, leaves, need_square, budget, ceiling, memo
+                    goal, s, vflags, p0, c0, leaves, need_square, budget, ceiling, memo
                 )
                 if ok is not None:
                     return ok
@@ -536,19 +539,17 @@ def _square_peel(goal, leaves, budget, ceiling, memo):
     return None
 
 
-def _expand_factors(goal, s, vflags, g1, g2, leaves, need_square, budget, ceiling, memo):
-    for p1 in _coord_splits(goal[1], s, vflags[1]):
-        c1 = _complement(goal[1], p1, vflags[1])
+def _expand_factors(goal, s, vflags, p0, c0, leaves, need_square, budget, ceiling, memo):
+    for p1, c1 in _coord_splits(goal[1], s, vflags[1]):
         if c1 is None:
             continue
-        for p2 in _coord_splits(goal[2], s, vflags[2]):
-            c2 = _complement(goal[2], p2, vflags[2])
+        for p2, c2 in _coord_splits(goal[2], s, vflags[2]):
             if c2 is None:
                 continue
             if not budget.spend():
                 return None
-            left = (g1[0], p1, p2)
-            right = (g2[0], c1, c2)
+            left = (p0, p1, p2)
+            right = (c0, c1, c2)
             vertical = tuple(c for c in range(3) if vflags[c])
             for lv in range(1, leaves):
                 rv = leaves - lv
@@ -573,23 +574,28 @@ def _expand_factors(goal, s, vflags, g1, g2, leaves, need_square, budget, ceilin
 # Saxl driver
 
 
-def _read_cached(path, goal):
-    """The certificate cached at path, or None unless it proves exactly goal.
+def _read_cached(path, goal, ceiling):
+    """The certificate cached at path, or None unless it verifies and proves
+    exactly goal.
 
-    A missing, unreadable or foreign entry is a cache miss, so the caller
-    proves the target again and overwrites it.
+    A missing, unreadable, foreign or invalid entry is a cache miss, so the
+    caller proves the target again and overwrites it.
     """
     try:
         with open(path) as fh:
             cert = Certificate.from_json(fh.read())
     except FileNotFoundError:
         return None
-    except (ValueError, KeyError, TypeError) as e:
+    except DECODE_ERRORS as e:
         print("saxl: re-proving %s: unreadable (%s)" % (path, e), file=sys.stderr)
         return None
     if cert.goal != goal:
         print("saxl: re-proving %s: it proves %r" % (path, cert.goal),
               file=sys.stderr)
+        return None
+    ok, msg = verify_certificate(cert, ceiling=ceiling)
+    if not ok:
+        print("saxl: re-proving %s: invalid (%s)" % (path, msg), file=sys.stderr)
         return None
     return cert
 
@@ -599,7 +605,7 @@ def verify_saxl(m, cache_dir=None, ceiling=ch.DEFAULT_ORACLE_CEILING,
     """Prove every partition of m(m+1)/2 inside the staircase square.
 
     Returns a report dict; certificates are verified before being counted
-    and cached as JSON files when a cache directory is given.
+    or cached as JSON files when a cache directory is given.
     """
     n = pt.triangular(m)
     rho = pt.staircase(m)
@@ -616,22 +622,23 @@ def verify_saxl(m, cache_dir=None, ceiling=ch.DEFAULT_ORACLE_CEILING,
             path = os.path.join(
                 cache_dir, "m%d_%s.json" % (m, "-".join(str(r) for r in nu) or "0")
             )
-            cert = _read_cached(path, (nu, rho, rho))
+            cert = _read_cached(path, (nu, rho, rho), ceiling)
         if cert is None:
             cert = prove_in_staircase_square(
                 m, nu, budget=Budget(budget_nodes), ceiling=ceiling
             )
-            if cert is not None and path is not None:
-                tmp = path + ".tmp"
-                with open(tmp, "w") as fh:
-                    fh.write(cert.to_json())
-                os.replace(tmp, path)
+            if cert is not None:
+                ok, msg = verify_certificate(cert, ceiling=ceiling)
+                if not ok:
+                    raise AssertionError("bad certificate for %s: %s" % (nu, msg))
+                if path is not None:
+                    tmp = path + ".tmp"
+                    with open(tmp, "w") as fh:
+                        fh.write(cert.to_json())
+                    os.replace(tmp, path)
         if cert is None:
             failures.append(nu)
         else:
-            ok, msg = verify_certificate(cert, ceiling=ceiling)
-            if not ok:
-                raise AssertionError("bad certificate for %s: %s" % (nu, msg))
             proved += 1
         if progress and done % 2000 == 0:
             print("saxl m=%d: %d/%d" % (m, done, total), file=sys.stderr)

@@ -53,6 +53,11 @@ def _stair(m):
     return tuple(range(m, 0, -1))
 
 
+# Certificates the prover and the pipeline build are at most 8 deep; a
+# deeper tree is rejected before the recursive walk can exhaust the stack.
+MAX_DEPTH = 100
+
+
 class VerificationFailure(Exception):
     pass
 
@@ -60,7 +65,7 @@ class VerificationFailure(Exception):
 def verify_certificate(cert, ceiling=characters.DEFAULT_ORACLE_CEILING):
     """Walk the tree and re-check every rule.  Returns (ok, message)."""
     try:
-        _verify(cert, ceiling)
+        _verify(cert, ceiling, 0)
     except VerificationFailure as e:
         return False, str(e)
     return True, "ok"
@@ -70,7 +75,19 @@ def _fail(cert, why):
     raise VerificationFailure("%s node with goal %r: %s" % (cert.kind, cert.goal, why))
 
 
-def _verify(cert, ceiling):
+def _staircase_side(cert):
+    """meta.m, checked against the goal size before any staircase is built."""
+    m = cert.meta.get("m")
+    if type(m) is not int or m < 0:
+        _fail(cert, "m is not a non-negative integer")
+    if m * (m + 1) // 2 != _wt(cert.goal[0]):
+        _fail(cert, "the staircase of m does not have the goal size")
+    return m
+
+
+def _verify(cert, ceiling, depth):
+    if depth > MAX_DEPTH:
+        raise VerificationFailure("certificate tree too deep")
     goal = cert.goal
     if len(goal) < 3:
         _fail(cert, "goal needs a target and at least two factors")
@@ -85,7 +102,7 @@ def _verify(cert, ceiling):
     if kind == "DominanceStaircase":
         if cert.children:
             _fail(cert, "leaves must have no children")
-        m = cert.meta.get("m")
+        m = _staircase_side(cert)
         rho = _stair(m)
         if any(f != rho for f in goal[1:]):
             _fail(cert, "factors are not the staircase of %r" % m)
@@ -95,7 +112,7 @@ def _verify(cert, ceiling):
     elif kind == "Hook":
         if cert.children:
             _fail(cert, "leaves must have no children")
-        m = cert.meta.get("m")
+        m = _staircase_side(cert)
         rho = _stair(m)
         if goal[1:] != (rho, rho):
             _fail(cert, "factors are not a staircase pair")
@@ -139,19 +156,19 @@ def _verify(cert, ceiling):
         if coeff <= 0:
             _fail(cert, "oracle reports zero coefficient")
         claimed = cert.meta.get("coefficient")
-        if claimed is not None and int(claimed) != coeff:
+        if claimed is not None and claimed not in (coeff, str(coeff)):
             _fail(cert, "claimed coefficient %s != %d" % (claimed, coeff))
     elif kind == "HSum":
         a, b = _two_children(cert)
-        _verify(a, ceiling)
-        _verify(b, ceiling)
+        _verify(a, ceiling, depth + 1)
+        _verify(b, ceiling, depth + 1)
         want = tuple(_row_sum(x, y) for x, y in zip(a.goal, b.goal))
         if tuple(goal) != want:
             _fail(cert, "goal is not the rowwise sum of the children")
     elif kind == "VVHSum":
         a, b = _two_children(cert)
-        _verify(a, ceiling)
-        _verify(b, ceiling)
+        _verify(a, ceiling, depth + 1)
+        _verify(b, ceiling, depth + 1)
         vertical = _coord_set(cert, "vertical")
         want = tuple(
             _multiset_sum(x, y) if i in vertical else _row_sum(x, y)
@@ -161,7 +178,7 @@ def _verify(cert, ceiling):
             _fail(cert, "goal does not match the recorded sums")
     elif kind == "Conjugate":
         (a,) = _one_child(cert)
-        _verify(a, ceiling)
+        _verify(a, ceiling, depth + 1)
         coords = _coord_set(cert, "coords")
         want = tuple(
             _conj(p) if i in coords else p for i, p in enumerate(a.goal)
@@ -170,9 +187,11 @@ def _verify(cert, ceiling):
             _fail(cert, "goal does not match conjugated child")
     elif kind == "Permute":
         (a,) = _one_child(cert)
-        _verify(a, ceiling)
-        perm = list(cert.meta.get("perm", ()))
-        if sorted(perm) != list(range(len(a.goal))):
+        _verify(a, ceiling, depth + 1)
+        perm = cert.meta.get("perm", ())
+        if not isinstance(perm, (list, tuple)) or any(
+            type(p) is not int for p in perm
+        ) or sorted(perm) != list(range(len(a.goal))):
             _fail(cert, "invalid permutation")
         want = tuple(a.goal[p] for p in perm)
         if tuple(goal) != want:
@@ -220,6 +239,11 @@ def _check_filling(cert, mu, nu, filling):
     # are taken in the descending order used by the producer)
     heights = tuple(sorted(cols, reverse=True))
     used = [0] * len(heights)
+    if not isinstance(filling, list) or any(
+        not isinstance(colset, list) or any(type(c) is not int for c in colset)
+        for colset in filling
+    ):
+        _fail(cert, "filling is not a list of column lists")
     if len(filling) != len(mu):
         _fail(cert, "filling has wrong number of labels")
     for k, colset in enumerate(filling):

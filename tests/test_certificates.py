@@ -202,3 +202,42 @@ def test_verifier_fails_closed_on_malformed_vertical(meta):
     bad = ct.Certificate("VVHSum", good.goal, good.children, meta)
     ok, _ = verify_certificate(bad)
     assert not ok
+
+
+@pytest.mark.parametrize("kind", ["DominanceStaircase", "Hook"])
+@pytest.mark.parametrize("meta", [{}, {"m": "3"}, {"m": 10**12}, {"m": -1},
+                                  {"m": True}, {"m": 2}])
+def test_verifier_checks_staircase_side_before_building_it(kind, meta):
+    # a missing or string m used to raise TypeError, and a huge m built
+    # the staircase before any check; m = 2 is too small for the goal
+    rho = pt.staircase(3)
+    bad = ct.Certificate(kind, ((4, 1, 1), rho, rho), meta=meta)
+    ok, msg = verify_certificate(bad)
+    assert not ok and ("m is not" in msg or "staircase of m" in msg)
+
+
+def test_verifier_rejects_deep_trees():
+    cert = ct.base_oracle(((1,), (1,), (1,)))
+    for _ in range(3000):
+        cert = ct.Certificate("Conjugate", cert.goal, (cert,), {"coords": [1, 2]})
+    assert verify_certificate(cert) == (False, "certificate tree too deep")
+
+
+@pytest.mark.parametrize("kind, meta", [
+    ("OracleLeaf", {"coefficient": "two"}),
+    ("OracleLeaf", {"coefficient": [1]}),
+    ("GeneralizedDominance", {"filling": 3}),
+    ("GeneralizedDominance", {"filling": [["a", 0], [0]]}),
+])
+def test_verifier_fails_closed_on_malformed_leaf_meta(kind, meta):
+    goal = ((2, 1), (2, 1), (2, 1))
+    ok, _ = verify_certificate(ct.Certificate(kind, goal, meta=meta))
+    assert not ok
+
+
+@pytest.mark.parametrize("perm", [5, [0, "1", 2], [0, 1, None]])
+def test_verifier_fails_closed_on_malformed_perm(perm):
+    leaf = ct.base_oracle(((2, 1), (2, 1), (2, 1)))
+    bad = ct.Certificate("Permute", leaf.goal, (leaf,), {"perm": perm})
+    ok, _ = verify_certificate(bad)
+    assert not ok

@@ -55,6 +55,33 @@ def test_verify_cert_rejects_garbage(tmp_path, capsys):
     assert cli.dispatch(["verify-cert", "--file", str(path)]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"kind": "HSum", "goal": ["1"]}',
+    '{"kind": "Hook", "goal": [5], "children": []}',
+    '[1]',
+    "[" * 5000 + "]" * 5000,
+], ids=["no-children", "int-goal", "not-an-object", "deep-nesting"])
+def test_verify_cert_unparseable_exits_2_without_traceback(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli.dispatch(["verify-cert", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_verify_cert_invalid_certificate_reports_not_ok(tmp_path, capsys):
+    # parses, but the Hook leaf's m is a string
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({
+        "kind": "Hook", "goal": ["4,1,1", "3,2,1", "3,2,1"],
+        "children": [], "meta": {"m": "3"},
+    }))
+    code, doc = run(capsys, "verify-cert", "--file", str(path))
+    assert code == 0
+    assert doc["ok"] is False
+
+
 def test_saxl_small(tmp_path, capsys):
     code, doc = run(capsys, "saxl", "--m", "3", "--cache", str(tmp_path))
     assert code == 0

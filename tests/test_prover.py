@@ -6,6 +6,10 @@ from kronwork import characters as ch
 from kronwork import partitions as pt
 from kronwork.prover import (
     Budget,
+    _complement,
+    _coord_splits,
+    _h_splits,
+    _v_splits,
     grid_sizes,
     layer_sides,
     prove_in_staircase_square,
@@ -158,3 +162,68 @@ def test_verify_saxl_reproves_truncated_cache_entries(tmp_path):
         with open(path, "w") as fh:
             fh.write(text[: len(text) // 2])
     assert verify_saxl(3, cache_dir=cache) == first
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "Hook", "goal": [6], "children": []}',
+    "[" * 5000 + "]" * 5000,
+], ids=["int-goal", "deep-nesting"])
+def test_verify_saxl_reproves_undecodable_cache_entries(tmp_path, text):
+    cache = str(tmp_path / "m3")
+    first = verify_saxl(3, cache_dir=cache)
+    for name in os.listdir(cache):
+        with open(os.path.join(cache, name), "w") as fh:
+            fh.write(text)
+    assert verify_saxl(3, cache_dir=cache) == first
+
+
+def test_verify_saxl_reproves_invalid_cache_entries(tmp_path):
+    # right goal, but the Hook leaf's m is a string: used to abort the run
+    cache = str(tmp_path / "m3")
+    first = verify_saxl(3, cache_dir=cache)
+    rho = pt.staircase(3)
+    path = os.path.join(cache, "m3_4-1-1.json")
+    with open(path, "w") as fh:
+        fh.write(Certificate("Hook", ((4, 1, 1), rho, rho), meta={"m": "3"}).to_json())
+    assert verify_saxl(3, cache_dir=cache) == first
+    with open(path) as fh:
+        assert verify_certificate(Certificate.from_json(fh.read()))[0]
+
+
+def _v_splits_by_subsets(p, s):
+    """Reference for `_v_splits`: an exclude-first walk over single rows.
+    Its set order is the order the searches try vertical splits in, so the
+    certificates found depend on it."""
+    out = set()
+    rows = list(p)
+
+    def rec(i, left, acc):
+        if left == 0:
+            out.add(tuple(acc))
+            return
+        if i == len(rows) or left < 0:
+            return
+        rec(i + 1, left, acc)
+        if rows[i] <= left:
+            acc.append(rows[i])
+            rec(i + 1, left - rows[i], acc)
+            acc.pop()
+
+    rec(0, s, [])
+    return [lam for lam in out]
+
+
+def test_v_splits_match_the_subset_walk_in_order():
+    for n in range(1, 13):
+        for p in pt.partitions_of(n):
+            for s in range(n + 1):
+                assert _v_splits(p, s) == _v_splits_by_subsets(p, s), (p, s)
+
+
+def test_coord_splits_pair_each_piece_with_its_complement():
+    for n in range(1, 13):
+        for p in pt.partitions_of(n):
+            for s in range(1, n):
+                for vertical, ref in ((True, _v_splits_by_subsets), (False, _h_splits)):
+                    want = [(q, _complement(p, q, vertical)) for q in ref(p, s)]
+                    assert _coord_splits(p, s, vertical) == want, (p, s, vertical)
