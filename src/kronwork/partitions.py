@@ -139,7 +139,16 @@ def is_hook(lam):
 
 
 def is_symmetric(lam):
-    return lam == conjugate(lam)
+    """lam == conjugate(lam), compared row by row without building the
+    conjugate: column i holds lam[i] cells exactly when rows 0..lam[i]-1
+    reach past column i and row lam[i] does not."""
+    n = len(lam)
+    if n and lam[0] != n:
+        return False
+    for i, r in enumerate(lam):
+        if lam[r - 1] <= i or (r < n and lam[r] > i):
+            return False
+    return True
 
 
 def has_distinct_rows(lam):

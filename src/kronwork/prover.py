@@ -378,6 +378,27 @@ def _coord_splits(p, s, vertical):
     return hit
 
 
+_INDEX_CACHE = {}
+
+
+def _split_index(p, s, vertical):
+    """The splits of p at size s that have a complement, in `_coord_splits`
+    order, with the rank of each piece and of each complement among them."""
+    key = (p, s, vertical)
+    hit = _INDEX_CACHE.get(key)
+    if hit is None:
+        valid = [pc for pc in _coord_splits(p, s, vertical) if pc[1] is not None]
+        hit = (
+            valid,
+            {q: r for r, (q, _) in enumerate(valid)},
+            {c: r for r, (_, c) in enumerate(valid)},
+        )
+        if len(_INDEX_CACHE) > 200000:
+            _INDEX_CACHE.clear()
+        _INDEX_CACHE[key] = hit
+    return hit
+
+
 def _complement(p, piece, vertical):
     if vertical:
         rest = list(p)
@@ -451,6 +472,20 @@ def _chunk_search(goal, budget, ceiling):
 
 
 def _tree_search(goal, budget, ceiling, max_leaves=4):
+    """Semigroup tree of at most max_leaves leaves proving goal, or None.
+
+    The seeded phase looks for trees with a symmetric cube (lam; lam, lam)
+    as one leaf, with 2, 3, ... leaves, each size on its own slice of at
+    most 60,000 nodes.  For each split p0 | c0 of the target, a 2-leaf tree
+    can only pair a cube with one other leaf, so instead of walking every
+    split (p1, p2) of the factors it tries the at most two pairs that
+    complete a cube: p1 == p2 == p0 or c1 == c2 == c0 (`_cube_pairs`).  It
+    still charges one node for each pair the walk would have visited, so a
+    slice ends where it did rather than running on through the costlier
+    nodes of the larger trees.  In every seeded
+    split a one-leaf cube side is tested before the other side.  The
+    general phase then walks every split on whatever budget remains.
+    """
     goal = tuple(tuple(p) for p in goal)
     memo = {}
     cert = _tree(goal, 1, False, budget, ceiling, memo)
@@ -540,6 +575,41 @@ def _square_peel(goal, leaves, budget, ceiling, memo):
 
 
 def _expand_factors(goal, s, vflags, p0, c0, leaves, need_square, budget, ceiling, memo):
+    if need_square and leaves == 2:
+        pairs = _cube_pairs(goal, s, vflags, p0, c0, budget)
+    else:
+        pairs = _walk_pairs(goal, s, vflags, p0, c0, budget)
+    vertical = tuple(c for c in range(3) if vflags[c])
+    needs = ((True, False), (False, True)) if need_square else ((False, False),)
+    for left, right in pairs:
+        for lv in range(1, leaves):
+            rv = leaves - lv
+            for nl, nr in needs:
+                cr = None
+                if nr and rv == 1:
+                    # a one-leaf square side is one comparison: test it first
+                    cr = _tree(right, rv, nr, budget, ceiling, memo)
+                    if cr is None:
+                        continue
+                cl = _tree(left, lv, nl, budget, ceiling, memo)
+                if cl is None:
+                    continue
+                if cr is None:
+                    cr = _tree(right, rv, nr, budget, ceiling, memo)
+                    if cr is None:
+                        continue
+                cert = combine_vvh(cl, cr, vertical)
+                if cert.goal != goal:
+                    raise AssertionError("semigroup assembly mismatch")
+                return cert
+        if budget.exhausted:
+            return None
+    return None
+
+
+def _walk_pairs(goal, s, vflags, p0, c0, budget):
+    """Every (left, right) pair of triples that extends the split p0 | c0,
+    one node each."""
     for p1, c1 in _coord_splits(goal[1], s, vflags[1]):
         if c1 is None:
             continue
@@ -547,27 +617,35 @@ def _expand_factors(goal, s, vflags, p0, c0, leaves, need_square, budget, ceilin
             if c2 is None:
                 continue
             if not budget.spend():
-                return None
-            left = (p0, p1, p2)
-            right = (c0, c1, c2)
-            vertical = tuple(c for c in range(3) if vflags[c])
-            for lv in range(1, leaves):
-                rv = leaves - lv
-                needs = ((True, False), (False, True)) if need_square else ((False, False),)
-                for nl, nr in needs:
-                    cl = _tree(left, lv, nl, budget, ceiling, memo)
-                    if cl is None:
-                        continue
-                    cr = _tree(right, rv, nr, budget, ceiling, memo)
-                    if cr is None:
-                        continue
-                    cert = combine_vvh(cl, cr, vertical)
-                    if cert.goal != goal:
-                        raise AssertionError("semigroup assembly mismatch")
-                    return cert
-            if budget.exhausted:
-                return None
-    return None
+                return
+            yield (p0, p1, p2), (c0, c1, c2)
+
+
+def _cube_pairs(goal, s, vflags, p0, c0, budget):
+    """The pairs of `_walk_pairs` that can give a seeded 2-leaf tree.
+
+    With one leaf on each side, one side must be a symmetric cube: the left
+    when p1 == p2 == p0, the right when c1 == c2 == c0.  These are at most
+    two pairs, found by rank and yielded in walk order.  The budget is
+    charged as the walk would be: up to and including each pair yielded,
+    and through to the walk's end when none of them succeeds.
+    """
+    valid1, pieces1, rests1 = _split_index(goal[1], s, vflags[1])
+    valid2, pieces2, rests2 = _split_index(goal[2], s, vflags[2])
+    ranks = set()
+    if p0 in pieces1 and p0 in pieces2 and pt.is_symmetric(p0):
+        ranks.add((pieces1[p0], pieces2[p0]))
+    if c0 in rests1 and c0 in rests2 and pt.is_symmetric(c0):
+        ranks.add((rests1[c0], rests2[c0]))
+    charged = 0
+    for r1, r2 in sorted(ranks):
+        walked = r1 * len(valid2) + r2 + 1
+        if not budget.spend(walked - charged):
+            return
+        charged = walked
+        (p1, c1), (p2, c2) = valid1[r1], valid2[r2]
+        yield (p0, p1, p2), (c0, c1, c2)
+    budget.spend(len(valid1) * len(valid2) - charged)
 
 
 # ---------------------------------------------------------------------------

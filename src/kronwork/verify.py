@@ -221,8 +221,13 @@ def _coord_set(cert, key):
 
 
 def _two_children(cert):
+    """The two children of a sum node, each with the node's arity: the
+    coordinatewise sums of HSum and VVHSum pair goals through zip, which drops
+    a longer goal's extra factors."""
     if len(cert.children) != 2:
         _fail(cert, "needs exactly two children")
+    if any(len(c.goal) != len(cert.goal) for c in cert.children):
+        _fail(cert, "children must have the arity of the node")
     return cert.children
 
 

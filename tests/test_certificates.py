@@ -241,3 +241,19 @@ def test_verifier_fails_closed_on_malformed_perm(perm):
     bad = ct.Certificate("Permute", leaf.goal, (leaf,), {"perm": perm})
     ok, _ = verify_certificate(bad)
     assert not ok
+
+
+def _mixed_arity_children():
+    # an empty 3-ary leaf and a 4-ary cube: zip over the goals drops the
+    # cube's fourth factor, so the sum looked like ((1,1); (1,1), (1,1))
+    return (ct.Certificate("OracleLeaf", ((), (), ())),
+            ct.base_symmetric_cube((1, 1), arity=3))
+
+
+@pytest.mark.parametrize("kind, meta", [("HSum", {}), ("VVHSum", {"vertical": []})])
+def test_verifier_rejects_children_of_another_arity(kind, meta):
+    goal = ((1, 1), (1, 1), (1, 1))
+    bad = ct.Certificate(kind, goal, _mixed_arity_children(), meta)
+    ok, msg = verify_certificate(bad)
+    assert not ok and "arity" in msg
+    assert ch.kronecker(*goal) == 0

@@ -147,3 +147,21 @@ def test_exceptions(capsys):
     code2, doc2 = run(capsys, "exceptions", "--n", "3")
     assert code2 == 0
     assert doc2["covering"]
+
+
+@pytest.mark.parametrize("kind, meta", [("HSum", {}), ("VVHSum", {"vertical": []})])
+def test_verify_cert_rejects_children_of_another_arity(tmp_path, capsys, kind, meta):
+    # g((1,1); (1,1), (1,1)) = 0; the 4-ary child's extra factor used to be
+    # dropped when the children's goals were summed
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({
+        "kind": kind, "goal": ["1,1", "1,1", "1,1"], "meta": meta,
+        "children": [
+            {"kind": "OracleLeaf", "goal": ["", "", ""], "children": [], "meta": {}},
+            {"kind": "SymmetricCube", "goal": ["1,1", "1,1", "1,1", "1,1"],
+             "children": [], "meta": {}},
+        ],
+    }))
+    code, doc = run(capsys, "verify-cert", "--file", str(path))
+    assert code == 0
+    assert doc["ok"] is False

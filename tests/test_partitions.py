@@ -125,3 +125,9 @@ def test_move_trace_is_single_steps(a, b):
     for x, y in zip(trace, trace[1:]):
         assert pt.is_single_step(x, y)
     assert len(trace) - 1 == pt.blockwise_distance(a, b)
+
+
+def test_is_symmetric_matches_the_conjugate():
+    for n in range(13):
+        for lam in pt.partitions_of(n):
+            assert pt.is_symmetric(lam) == (lam == pt.conjugate(lam)), lam

@@ -4,12 +4,17 @@ import pytest
 
 from kronwork import characters as ch
 from kronwork import partitions as pt
+from kronwork import prover
 from kronwork.prover import (
+    _VERTICAL_PATTERNS,
     Budget,
     _complement,
     _coord_splits,
+    _cube_pairs,
+    _expand_factors,
     _h_splits,
     _v_splits,
+    _walk_pairs,
     grid_sizes,
     layer_sides,
     prove_in_staircase_square,
@@ -227,3 +232,106 @@ def test_coord_splits_pair_each_piece_with_its_complement():
                 for vertical, ref in ((True, _v_splits_by_subsets), (False, _h_splits)):
                     want = [(q, _complement(p, q, vertical)) for q in ref(p, s)]
                     assert _coord_splits(p, s, vertical) == want, (p, s, vertical)
+
+
+def _walk_expand_factors(goal, s, vflags, p0, c0, leaves, need_square, budget, ceiling, memo):
+    """Reference for the seeded 2-leaf step: the walk over every (p1, p2)
+    pair that extends the split p0 | c0, one node each, every side
+    evaluated left first."""
+    for p1, c1 in _coord_splits(goal[1], s, vflags[1]):
+        if c1 is None:
+            continue
+        for p2, c2 in _coord_splits(goal[2], s, vflags[2]):
+            if c2 is None:
+                continue
+            if not budget.spend():
+                return None
+            left = (p0, p1, p2)
+            right = (c0, c1, c2)
+            vertical = tuple(c for c in range(3) if vflags[c])
+            for lv in range(1, leaves):
+                rv = leaves - lv
+                needs = ((True, False), (False, True)) if need_square else ((False, False),)
+                for nl, nr in needs:
+                    cl = prover._tree(left, lv, nl, budget, ceiling, memo)
+                    if cl is None:
+                        continue
+                    cr = prover._tree(right, rv, nr, budget, ceiling, memo)
+                    if cr is None:
+                        continue
+                    cert = prover.combine_vvh(cl, cr, vertical)
+                    assert cert.goal == goal
+                    return cert
+            if budget.exhausted:
+                return None
+    return None
+
+
+def _staircase_goals(top):
+    """(nu; rho_m, rho_m) and (nu'; rho_m, rho_m) for every nu, m <= top."""
+    for m in range(1, top + 1):
+        rho = pt.staircase(m)
+        for nu in pt.partitions_of(pt.triangular(m)):
+            yield (nu, rho, rho)
+            if pt.conjugate(nu) != nu:
+                yield (pt.conjugate(nu), rho, rho)
+
+
+def _first_splits(goal):
+    """(s, vflags, p0, c0) for every split of the target the tree tries."""
+    n = pt.size(goal[0])
+    for vertical in _VERTICAL_PATTERNS:
+        vflags = [c in vertical for c in range(3)]
+        for s in range(1, n):
+            for p0, c0 in _coord_splits(goal[0], s, vflags[0]):
+                if c0 is not None:
+                    yield s, vflags, p0, c0
+
+
+@pytest.mark.parametrize("leaves", [2, 3])
+def test_seeded_tree_matches_the_full_walk(monkeypatch, leaves):
+    # with no budget limit the cube pairs find what the walk over every
+    # pair finds, also as the 2-leaf subsearch of a 3-leaf tree
+    ceiling = ch.DEFAULT_ORACLE_CEILING
+    for goal in _staircase_goals(5):
+        new = prover._tree(goal, leaves, True, Budget(10**12), ceiling, {})
+        with monkeypatch.context() as mp:
+            mp.setattr(prover, "_expand_factors", _walk_expand_factors)
+            old = prover._tree(goal, leaves, True, Budget(10**12), ceiling, {})
+        assert (new and new.to_json()) == (old and old.to_json()), goal
+
+
+def test_failing_cube_step_charges_the_walk(monkeypatch):
+    # every leaf fails and costs nothing, so only the walk's pairs are
+    # charged: one node for each valid (p1, p2)
+    monkeypatch.setattr(prover, "_tree", lambda *args: None)
+    ceiling = ch.DEFAULT_ORACLE_CEILING
+    for goal in _staircase_goals(4):
+        for s, vflags, p0, c0 in _first_splits(goal):
+            spent = []
+            for step in (_expand_factors, _walk_expand_factors):
+                budget = Budget(10**9)
+                assert step(goal, s, vflags, p0, c0, 2, True, budget, ceiling, {}) is None
+                spent.append(10**9 - budget.nodes)
+            assert spent[0] == spent[1], (goal, s, vflags, p0)
+
+
+def _is_cube(triple):
+    return triple[0] == triple[1] == triple[2] and pt.is_symmetric(triple[0])
+
+
+def test_cube_pairs_are_the_walks_cube_pairs_under_any_budget():
+    for goal in _staircase_goals(4):
+        for s, vflags, p0, c0 in _first_splits(goal):
+            walked = len(list(_walk_pairs(goal, s, vflags, p0, c0, Budget(10**9))))
+            for nodes in range(walked + 2):
+                budget = Budget(nodes)
+                want = [
+                    (left, right)
+                    for left, right in _walk_pairs(goal, s, vflags, p0, c0, budget)
+                    if _is_cube(left) or _is_cube(right)
+                ]
+                cubes = Budget(nodes)
+                assert list(_cube_pairs(goal, s, vflags, p0, c0, cubes)) == want
+                assert cubes.exhausted == budget.exhausted
+                assert max(cubes.nodes, -1) == budget.nodes
