@@ -7,6 +7,7 @@ coordinate 0; Permute nodes keep that normalization.
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import partitions as pt
 from . import characters as ch
@@ -23,6 +24,16 @@ INNER_KINDS = ("HSum", "VVHSum", "Conjugate", "Permute")
 # What `Certificate.from_json` raises on input that is not a certificate:
 # malformed JSON (a ValueError), missing keys, wrong types, deep nesting.
 DECODE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, RecursionError)
+
+# A cache's certificates repeat a few goal strings (the staircase and its
+# pieces), so each distinct string is parsed once.  Errors are not cached.
+_parse_goal_text = lru_cache(maxsize=256)(pt.parse_partition)
+
+
+def _parse_goal(g):
+    # anything but a string goes straight to the parser, which raises on it
+    # exactly as before (a list would otherwise fail as unhashable)
+    return _parse_goal_text(g) if type(g) is str else pt.parse_partition(g)
 
 
 @dataclass(frozen=True)
@@ -55,7 +66,7 @@ class Certificate:
     def from_dict(d):
         return Certificate(
             kind=d["kind"],
-            goal=tuple(pt.parse_partition(g) for g in d["goal"]),
+            goal=tuple(map(_parse_goal, d["goal"])),
             children=tuple(Certificate.from_dict(c) for c in d["children"]),
             meta=dict(d.get("meta", {})),
         )

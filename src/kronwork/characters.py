@@ -1,7 +1,8 @@
 """Exact symmetric group characters and Kronecker coefficients.
 
 Characters come from the rim-hook (Murnaghan-Nakayama) recursion on beta
-sets; everything is integer arithmetic.
+sets stored as int bitmasks, one bit per bead, so that removing a rim hook is
+two bit flips and its height a bit count; everything is integer arithmetic.
 """
 
 import math
@@ -32,39 +33,55 @@ def class_size(rho):
     return math.factorial(size(rho)) // centralizer_order(rho)
 
 
-def _beta_set(lam):
-    """First-column hook lengths: lam_i + (len - 1 - i)."""
-    ell = len(lam)
-    return tuple(lam[i] + (ell - 1 - i) for i in range(ell))
+def _beta_mask(lam):
+    """Beta set of lam as a bitmask: bit lam_i + (len - 1 - i) for each row.
+
+    Zero rows are dropped, so bit 0 is clear and each partition has exactly
+    one mask (appending a zero row would shift the mask and set bit 0).
+    """
+    rows = [r for r in lam if r]
+    ell = len(rows)
+    mask = 0
+    for i, r in enumerate(rows):
+        mask |= 1 << (r + ell - 1 - i)
+    return mask
 
 
-def _beta_to_partition(beta):
-    beta = sorted(beta, reverse=True)
-    ell = len(beta)
-    lam = tuple(beta[i] - (ell - 1 - i) for i in range(ell))
-    return tuple(r for r in lam if r)
+_MN = {}
 
 
-@lru_cache(maxsize=None)
-def _mn(lam, rho):
+def _mn(mask, rho):
+    """chi(rho) for the shape whose canonical beta mask is mask.
+
+    Removing a rim hook of length t moves a bead b of the beta set to an
+    empty position b - t: two bit flips.  Its sign is (-1)^height, where the
+    height is the number of beads strictly between b - t and b.  Values are
+    memoised on (mask, rho).
+    """
     if not rho:
         return 1
+    key = (mask, rho)
+    total = _MN.get(key)
+    if total is not None:
+        return total
     t = rho[0]
     rest = rho[1:]
-    beta = _beta_set(lam)
-    present = set(beta)
     total = 0
-    for pos, b in enumerate(beta):
-        c = b - t
-        if c < 0 or c in present:
-            continue
-        # removing a rim hook of length t: replace b by b - t; the sign is
-        # given by the number of beta entries strictly between them
-        height = sum(1 for x in beta if c < x < b)
-        new = list(beta)
-        new[pos] = c
-        sub = _beta_to_partition(new)
-        total += (-1) ** height * _mn(sub, rest)
+    # beads b >= t whose position b - t is empty
+    movable = (mask & ~(mask << t)) >> t << t
+    while movable:
+        bead = movable & -movable
+        movable ^= bead
+        hole = bead >> t
+        sub = mask ^ bead ^ hole
+        if hole == 1:
+            # bead moved to position 0: strip the low run of 1-bits
+            sub >>= ((~sub) & (sub + 1)).bit_length() - 1
+        if (mask & (bead - 1) & -(hole << 1)).bit_count() & 1:
+            total -= _mn(sub, rest)
+        else:
+            total += _mn(sub, rest)
+    _MN[key] = total
     return total
 
 
@@ -72,7 +89,7 @@ def character(lam, rho):
     """Value of the irreducible character of shape lam on class rho."""
     if size(lam) != size(rho):
         raise ValueError("character: size mismatch")
-    return _mn(lam, rho)
+    return _mn(_beta_mask(lam), tuple(rho))
 
 
 def dimension(lam):
@@ -102,7 +119,8 @@ def _class_sizes(n):
 @lru_cache(maxsize=None)
 def _char_row(lam):
     """chi^lam(rho) for each rho, in `partitions_of(|lam|)` order."""
-    return tuple(_mn(lam, rho) for rho in partitions_of(size(lam)))
+    mask = _beta_mask(lam)
+    return tuple(_mn(mask, rho) for rho in partitions_of(size(lam)))
 
 
 def multi_kronecker(factors, ceiling=DEFAULT_ORACLE_CEILING):
@@ -112,6 +130,9 @@ def multi_kronecker(factors, ceiling=DEFAULT_ORACLE_CEILING):
     with k = 3 it is the usual Kronecker coefficient.  The sum is one exact
     dot product of the class sizes of S_n with the factors' character rows;
     both are cached, per n and per shape, the first time they are needed.
+    A row is filled by the Murnaghan-Nakayama recursion on the shape's beta
+    set bitmask, memoised on (mask, class), so shapes of one n share the
+    characters of their smaller rim-hook remainders.
     """
     factors = tuple(tuple(f) for f in factors)
     if not factors:

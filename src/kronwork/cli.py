@@ -18,8 +18,10 @@ from .certificates import DECODE_ERRORS, Certificate
 from .prover import (
     Budget,
     DEFAULT_NODE_BUDGET,
+    cache_path,
     prove_in_staircase_square,
     verify_saxl,
+    write_cached,
 )
 from .verify import verify_certificate
 
@@ -107,18 +109,13 @@ def _cmd_prove(args):
 
 def _saxl_worker(job):
     m, nu, cache, budget, ceiling = job
-    path = os.path.join(
-        cache, "m%d_%s.json" % (m, "-".join(str(r) for r in nu) or "0")
-    )
+    path = cache_path(cache, m, nu)
     if os.path.exists(path):
         return True
     cert = prove_in_staircase_square(m, nu, budget=Budget(budget), ceiling=ceiling)
     if cert is None:
         return False
-    tmp = path + ".tmp%d" % os.getpid()
-    with open(tmp, "w") as fh:
-        fh.write(cert.to_json())
-    os.replace(tmp, path)
+    write_cached(path, cert)
     return True
 
 

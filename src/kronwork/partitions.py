@@ -5,14 +5,15 @@ The empty partition is ().
 """
 
 from functools import lru_cache
+from operator import lt
 
 
 def check_partition(parts):
     """Validate and normalize an iterable of row lengths into a partition."""
-    rows = tuple(int(r) for r in parts if int(r) != 0)
-    if any(r < 0 for r in rows):
+    rows = tuple(filter(None, map(int, parts)))
+    if min(rows, default=0) < 0:
         raise ValueError("negative row length")
-    if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
+    if any(map(lt, rows, rows[1:])):
         raise ValueError("rows must be weakly decreasing: %r" % (rows,))
     return rows
 
@@ -22,7 +23,7 @@ def parse_partition(text):
     text = text.strip()
     if not text:
         return ()
-    return check_partition(int(p) for p in text.split(","))
+    return check_partition(map(int, text.split(",")))
 
 
 def format_partition(lam):

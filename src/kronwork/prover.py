@@ -652,6 +652,20 @@ def _cube_pairs(goal, s, vflags, p0, c0, budget):
 # Saxl driver
 
 
+def cache_path(cache_dir, m, nu):
+    """Where the certificate of nu inside the square of rho_m is cached."""
+    return os.path.join(cache_dir, "m%d_%s.json" % (m, "-".join(map(str, nu)) or "0"))
+
+
+def write_cached(path, cert):
+    """Write cert to path atomically, through a temporary file of this
+    process, so a crash or a concurrent writer never leaves half a file."""
+    tmp = "%s.tmp%d" % (path, os.getpid())
+    with open(tmp, "w") as fh:
+        fh.write(cert.to_json())
+    os.replace(tmp, path)
+
+
 def _read_cached(path, goal, ceiling):
     """The certificate cached at path, or None unless it verifies and proves
     exactly goal.
@@ -691,15 +705,14 @@ def verify_saxl(m, cache_dir=None, ceiling=ch.DEFAULT_ORACLE_CEILING,
     proved = 0
     failures = []
     done = 0
+    if cache_dir is not None:
+        os.makedirs(cache_dir, exist_ok=True)
     for nu in pt.partitions_of(n):
         done += 1
         cert = None
         path = None
         if cache_dir is not None:
-            os.makedirs(cache_dir, exist_ok=True)
-            path = os.path.join(
-                cache_dir, "m%d_%s.json" % (m, "-".join(str(r) for r in nu) or "0")
-            )
+            path = cache_path(cache_dir, m, nu)
             cert = _read_cached(path, (nu, rho, rho), ceiling)
         if cert is None:
             cert = prove_in_staircase_square(
@@ -710,10 +723,7 @@ def verify_saxl(m, cache_dir=None, ceiling=ch.DEFAULT_ORACLE_CEILING,
                 if not ok:
                     raise AssertionError("bad certificate for %s: %s" % (nu, msg))
                 if path is not None:
-                    tmp = path + ".tmp"
-                    with open(tmp, "w") as fh:
-                        fh.write(cert.to_json())
-                    os.replace(tmp, path)
+                    write_cached(path, cert)
         if cert is None:
             failures.append(nu)
         else:

@@ -4,45 +4,51 @@ Re-implements every rule check locally so that verification shares no
 logic with the search code that produced the certificate.
 """
 
+from itertools import accumulate, chain, repeat, starmap, zip_longest
+from operator import add, ge, sub
+
 from . import characters
 
 
 def _is_partition(p):
-    return all(isinstance(r, int) and r > 0 for r in p) and all(
-        p[i] >= p[i + 1] for i in range(len(p) - 1)
+    """p is a tuple of ints, weakly decreasing, with a positive last row.
+
+    Folded in C by `all(map(...))`; ints are checked before rows compare.
+    """
+    return (
+        all(map(isinstance, p, repeat(int)))
+        and all(map(ge, p, p[1:]))
+        and (not p or p[-1] > 0)
     )
 
 
-def _wt(p):
-    return sum(p)
+_wt = sum  # the weight |p|
 
 
 def _dominates(a, b):
+    """Equal weights, and every prefix sum of a, padded with zeros, is at
+    least the same prefix sum of b."""
     if _wt(a) != _wt(b):
         return False
-    sa = sb = 0
-    for i in range(max(len(a), len(b))):
-        sa += a[i] if i < len(a) else 0
-        sb += b[i] if i < len(b) else 0
-        if sa < sb:
-            return False
-    return True
+    n = max(len(a), len(b))
+    sa = accumulate(chain(a, repeat(0, n - len(a))))
+    sb = accumulate(chain(b, repeat(0, n - len(b))))
+    return all(map(ge, sa, sb))
 
 
 def _conj(p):
-    if not p:
-        return ()
-    return tuple(
-        sum(1 for r in p if r > j) for j in range(p[0])
-    )
+    """Conjugate of the partition p, in O(len(p) + p[0]).
+
+    Reading the rows from the bottom, the p[i] - p[i + 1] columns past row
+    i + 1 have height i + 1.
+    """
+    rev = p[::-1]
+    widths = map(sub, rev, chain((0,), rev))
+    return tuple(chain.from_iterable(map(repeat, range(len(p), 0, -1), widths)))
 
 
 def _row_sum(a, b):
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-        for i in range(n)
-    )
+    return tuple(starmap(add, zip_longest(a, b, fillvalue=0)))
 
 
 def _multiset_sum(a, b):
@@ -57,6 +63,10 @@ def _stair(m):
 # deeper tree is rejected before the recursive walk can exhaust the stack.
 MAX_DEPTH = 100
 
+# a tuple, not a set: a decoded kind may be any JSON value, lists included
+_LEAF_KINDS = ("DominanceStaircase", "Hook", "GeneralizedDominance", "SymmetricCube",
+               "OracleLeaf")
+
 
 class VerificationFailure(Exception):
     pass
@@ -65,7 +75,7 @@ class VerificationFailure(Exception):
 def verify_certificate(cert, ceiling=characters.DEFAULT_ORACLE_CEILING):
     """Walk the tree and re-check every rule.  Returns (ok, message)."""
     try:
-        _verify(cert, ceiling, 0)
+        _verify(cert, ceiling, 0, {})
     except VerificationFailure as e:
         return False, str(e)
     return True, "ok"
@@ -75,53 +85,62 @@ def _fail(cert, why):
     raise VerificationFailure("%s node with goal %r: %s" % (cert.kind, cert.goal, why))
 
 
-def _staircase_side(cert):
-    """meta.m, checked against the goal size before any staircase is built."""
+def _staircase(cert):
+    """The staircase of meta.m, built only after m is checked against the
+    goal size and the row count of every factor, so it is no longer than
+    the input."""
     m = cert.meta.get("m")
     if type(m) is not int or m < 0:
         _fail(cert, "m is not a non-negative integer")
     if m * (m + 1) // 2 != _wt(cert.goal[0]):
         _fail(cert, "the staircase of m does not have the goal size")
-    return m
+    if any(len(f) != m for f in cert.goal[1:]):
+        _fail(cert, "factors are not the staircase of %r" % m)
+    return _stair(m)
 
 
-def _verify(cert, ceiling, depth):
+def _verify(cert, ceiling, depth, seen):
+    """Check cert at the given depth and return the height of its subtree.
+
+    seen maps the id of every node that has passed in this walk to its
+    height, so a node shared by several parents is checked once; the walk
+    is then bounded by the number of distinct nodes, not of paths.
+    """
     if depth > MAX_DEPTH:
         raise VerificationFailure("certificate tree too deep")
+    height = seen.get(id(cert))
+    if height is not None:
+        if depth + height > MAX_DEPTH:
+            raise VerificationFailure("certificate tree too deep")
+        return height
     goal = cert.goal
     if len(goal) < 3:
         _fail(cert, "goal needs a target and at least two factors")
     for p in goal:
         if not _is_partition(tuple(p)):
             _fail(cert, "goal entry is not a partition: %r" % (p,))
-    sizes = {_wt(p) for p in goal}
-    if len(sizes) != 1:
+    if len(set(map(_wt, goal))) != 1:
         _fail(cert, "goal entries have unequal sizes")
 
     kind = cert.kind
+    height = 0
+    if kind in _LEAF_KINDS and cert.children:
+        _fail(cert, "leaves must have no children")
     if kind == "DominanceStaircase":
-        if cert.children:
-            _fail(cert, "leaves must have no children")
-        m = _staircase_side(cert)
-        rho = _stair(m)
+        rho = _staircase(cert)
         if any(f != rho for f in goal[1:]):
-            _fail(cert, "factors are not the staircase of %r" % m)
+            _fail(cert, "factors are not the staircase of %r" % len(rho))
         nu = goal[0]
         if not (_dominates(nu, rho) or _dominates(rho, nu)):
             _fail(cert, "target is not dominance-comparable to the staircase")
     elif kind == "Hook":
-        if cert.children:
-            _fail(cert, "leaves must have no children")
-        m = _staircase_side(cert)
-        rho = _stair(m)
+        rho = _staircase(cert)
         if goal[1:] != (rho, rho):
             _fail(cert, "factors are not a staircase pair")
         nu = goal[0]
         if not nu or any(r != 1 for r in nu[1:]):
             _fail(cert, "target is not a hook")
     elif kind == "GeneralizedDominance":
-        if cert.children:
-            _fail(cert, "leaves must have no children")
         nu, mu1, mu2 = goal[0], goal[1], goal[2]
         if len(goal) != 3 or mu1 != mu2:
             _fail(cert, "goal must be (nu; mu, mu)")
@@ -133,13 +152,13 @@ def _verify(cert, ceiling, depth):
         if filling is not None:
             _check_filling(cert, mu1, nu, filling)
     elif kind == "SymmetricCube":
-        if cert.children:
-            _fail(cert, "leaves must have no children")
         if len(goal) == 3:
             lam = goal[0]
             if goal[1] != lam or goal[2] != lam:
                 _fail(cert, "cube goal must repeat one shape")
-            if _conj(lam) != lam:
+            # a self-conjugate shape has as many rows as columns; checked
+            # first, so the conjugate is no longer than the input
+            if len(lam) != max(lam, default=0) or _conj(lam) != lam:
                 _fail(cert, "shape is not self-conjugate")
         elif len(goal) == 4:
             if any(f != goal[0] for f in goal[1:]):
@@ -147,8 +166,6 @@ def _verify(cert, ceiling, depth):
         else:
             _fail(cert, "unsupported arity")
     elif kind == "OracleLeaf":
-        if cert.children:
-            _fail(cert, "leaves must have no children")
         n = _wt(goal[0])
         if ceiling is not None and n > ceiling:
             _fail(cert, "oracle leaf above the ceiling (n=%d)" % n)
@@ -160,15 +177,15 @@ def _verify(cert, ceiling, depth):
             _fail(cert, "claimed coefficient %s != %d" % (claimed, coeff))
     elif kind == "HSum":
         a, b = _two_children(cert)
-        _verify(a, ceiling, depth + 1)
-        _verify(b, ceiling, depth + 1)
-        want = tuple(_row_sum(x, y) for x, y in zip(a.goal, b.goal))
+        height = 1 + max(_verify(a, ceiling, depth + 1, seen),
+                         _verify(b, ceiling, depth + 1, seen))
+        want = tuple(map(_row_sum, a.goal, b.goal))
         if tuple(goal) != want:
             _fail(cert, "goal is not the rowwise sum of the children")
     elif kind == "VVHSum":
         a, b = _two_children(cert)
-        _verify(a, ceiling, depth + 1)
-        _verify(b, ceiling, depth + 1)
+        height = 1 + max(_verify(a, ceiling, depth + 1, seen),
+                         _verify(b, ceiling, depth + 1, seen))
         vertical = _coord_set(cert, "vertical")
         want = tuple(
             _multiset_sum(x, y) if i in vertical else _row_sum(x, y)
@@ -178,8 +195,11 @@ def _verify(cert, ceiling, depth):
             _fail(cert, "goal does not match the recorded sums")
     elif kind == "Conjugate":
         (a,) = _one_child(cert)
-        _verify(a, ceiling, depth + 1)
+        height = 1 + _verify(a, ceiling, depth + 1, seen)
         coords = _coord_set(cert, "coords")
+        # the conjugate of p has p[0] rows: compared before it is built
+        if any(len(goal[i]) != max(a.goal[i], default=0) for i in coords):
+            _fail(cert, "goal does not match conjugated child")
         want = tuple(
             _conj(p) if i in coords else p for i, p in enumerate(a.goal)
         )
@@ -187,7 +207,7 @@ def _verify(cert, ceiling, depth):
             _fail(cert, "goal does not match conjugated child")
     elif kind == "Permute":
         (a,) = _one_child(cert)
-        _verify(a, ceiling, depth + 1)
+        height = 1 + _verify(a, ceiling, depth + 1, seen)
         perm = cert.meta.get("perm", ())
         if not isinstance(perm, (list, tuple)) or any(
             type(p) is not int for p in perm
@@ -198,6 +218,8 @@ def _verify(cert, ceiling, depth):
             _fail(cert, "goal does not match permuted child")
     else:
         _fail(cert, "unknown kind")
+    seen[id(cert)] = height
+    return height
 
 
 def _coord_set(cert, key):
@@ -238,12 +260,9 @@ def _one_child(cert):
 
 
 def _check_filling(cert, mu, nu, filling):
-    cols = _conj(nu)
-    ncols = len(cols)
-    # filling[k] lists the columns receiving label k (sorted column heights
-    # are taken in the descending order used by the producer)
-    heights = tuple(sorted(cols, reverse=True))
-    used = [0] * len(heights)
+    # filling[k] lists the columns receiving label k.  Its shape is checked
+    # first: the labels then hold |mu| = |nu| columns in all, which bounds
+    # the conjugate of nu by the size of the input.
     if not isinstance(filling, list) or any(
         not isinstance(colset, list) or any(type(c) is not int for c in colset)
         for colset in filling
@@ -254,6 +273,9 @@ def _check_filling(cert, mu, nu, filling):
     for k, colset in enumerate(filling):
         if len(colset) != mu[k]:
             _fail(cert, "label %d used %d times, want %d" % (k, len(colset), mu[k]))
+    heights = _conj(nu)  # descending column heights
+    used = [0] * len(heights)
+    for k, colset in enumerate(filling):
         if len(set(colset)) != len(colset):
             _fail(cert, "label %d repeats a column" % k)
         for c in colset:

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
 
 from kronwork import certificates as ct
 from kronwork import characters as ch
 from kronwork import partitions as pt
+from kronwork import verify as vf
 from kronwork.verify import verify_certificate
 
 
@@ -257,3 +259,111 @@ def test_verifier_rejects_children_of_another_arity(kind, meta):
     ok, msg = verify_certificate(bad)
     assert not ok and "arity" in msg
     assert ch.kronecker(*goal) == 0
+
+
+def _verify_peak_bytes(cert):
+    """(ok, peak bytes allocated while verifying cert)."""
+    tracemalloc.start()
+    try:
+        ok, _ = verify_certificate(cert)
+        return ok, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Each of these used to build a tuple as long as a row of the goal, 10^7 or
+# more entries, before rejecting a certificate of a few dozen bytes.
+def test_verifier_rejects_a_long_one_row_cube_without_conjugating_it():
+    row = (10**7,)
+    ok, peak = _verify_peak_bytes(ct.Certificate("SymmetricCube", (row, row, row)))
+    assert not ok and peak < 10**6
+
+
+@pytest.mark.parametrize("kind", ["DominanceStaircase", "Hook"])
+def test_verifier_counts_factor_rows_before_building_the_staircase(kind):
+    m = 4 * 10**6
+    row = (m * (m + 1) // 2,)
+    bad = ct.Certificate(kind, (row, row, row), meta={"m": m})
+    ok, peak = _verify_peak_bytes(bad)
+    assert not ok and peak < 10**6
+
+
+def test_verifier_checks_the_filling_shape_before_conjugating_the_target():
+    row = (10**7,)
+    bad = ct.Certificate("GeneralizedDominance", (row, row, row),
+                         meta={"filling": [[0]]})
+    ok, peak = _verify_peak_bytes(bad)
+    assert not ok and peak < 10**6
+
+
+def test_verifier_counts_conjugate_rows_before_conjugating():
+    # a valid one-row leaf of size 4.5 * 10^6 whose conjugate is claimed
+    # to have one row instead of 4.5 * 10^6
+    m = 3000
+    n = m * (m + 1) // 2
+    rho = pt.staircase(m)
+    leaf = ct.Certificate("DominanceStaircase", ((n,), rho, rho), meta={"m": m})
+    assert verify_certificate(leaf)[0]
+    bad = ct.Certificate("Conjugate", leaf.goal, (leaf,), meta={"coords": [0, 1]})
+    ok, peak = _verify_peak_bytes(bad)
+    assert not ok and peak < 10**6
+
+
+def test_verifier_checks_each_shared_node_once(monkeypatch):
+    # HSum(c, c) sixty times over: 2^61 paths, 61 distinct nodes
+    cert = ct.base_oracle(((1,), (1,), (1,)))
+    for _ in range(60):
+        cert = ct.combine_h(cert, cert)
+    calls = []
+    walk = vf._verify
+
+    def counting(*args):
+        calls.append(args[0])
+        return walk(*args)
+
+    monkeypatch.setattr(vf, "_verify", counting)
+    assert verify_certificate(cert) == (True, "ok")
+    assert len(calls) <= 2 * 61
+
+
+def _conjugate_chain(cert, links):
+    for _ in range(links):
+        cert = ct.Certificate("Conjugate", cert.goal, (cert,), {"coords": [1, 2]})
+    return cert
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_shared_nodes_still_count_towards_the_depth(shared):
+    # `low` is checked first at depth 1; under `deep` its leaf lies at depth
+    # MAX_DEPTH + 1, and one link less at MAX_DEPTH
+    leaf = ct.base_oracle(((1,), (1,), (1,)))
+    low = _conjugate_chain(leaf, 1)
+    deep = _conjugate_chain(low if shared else _conjugate_chain(leaf, 1),
+                            vf.MAX_DEPTH - 1)
+    assert verify_certificate(ct.combine_h(low, deep)) == (
+        False, "certificate tree too deep")
+    assert verify_certificate(ct.combine_h(low, deep.children[0])) == (True, "ok")
+
+
+def _decode_error(call, arg):
+    with pytest.raises(ct.DECODE_ERRORS) as info:
+        call(arg)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("bad, good", [
+    ("3,4", "4,3"),
+    (["4", "3"], "4,3"),
+    ([4, 3], "4,3"),
+    (4, "4"),
+])
+def test_malformed_goals_raise_as_before_after_a_cached_parse(bad, good):
+    def doc(entry):
+        return {"kind": "OracleLeaf", "goal": [entry, good, good],
+                "children": [], "meta": {}}
+
+    want = _decode_error(pt.parse_partition, bad)
+    ct.Certificate.from_dict(doc(good))  # good text parsed and cached
+    for _ in range(2):
+        assert _decode_error(ct.Certificate.from_dict, doc(bad)) == want
+    assert ct.Certificate.from_dict(doc(good)).goal == (pt.parse_partition(good),) * 3

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -103,6 +104,59 @@ def test_exception_scan_small():
     assert any(not missing for missing in scan.values())
 
 
+def _beta_set(lam):
+    return tuple(lam[i] + (len(lam) - 1 - i) for i in range(len(lam)))
+
+
+def _beta_to_partition(beta):
+    beta = sorted(beta, reverse=True)
+    ell = len(beta)
+    return tuple(r for r in (beta[i] - (ell - 1 - i) for i in range(ell)) if r)
+
+
+@lru_cache(maxsize=None)
+def reference_character(lam, rho):
+    """Murnaghan-Nakayama on tuple beta sets, as the oracle once computed it."""
+    if not rho:
+        return 1
+    t, rest = rho[0], rho[1:]
+    beta = _beta_set(lam)
+    total = 0
+    for pos, b in enumerate(beta):
+        c = b - t
+        if c < 0 or c in beta:
+            continue
+        height = sum(1 for x in beta if c < x < b)
+        new = beta[:pos] + (c,) + beta[pos + 1:]
+        total += (-1) ** height * reference_character(_beta_to_partition(new), rest)
+    return total
+
+
+def test_characters_match_the_tuple_recursion():
+    for n in range(13):
+        classes = pt.partitions_of(n)
+        for lam in classes:
+            want = tuple(reference_character(lam, rho) for rho in classes)
+            assert ch._char_row(lam) == want
+            assert tuple(ch.character(lam, rho) for rho in classes) == want
+
+
+def test_beta_masks_ignore_zero_rows():
+    assert ch._beta_mask((2, 1, 0, 0)) == ch._beta_mask((2, 1)) == 0b1010
+    assert ch.character((2, 1, 0), (2, 1)) == ch.character((2, 1), (2, 1)) == 0
+
+
+def test_character_table_rows_are_orthogonal():
+    # sum_rho |C_rho| chi^lam(rho) chi^mu(rho) = n! [lam == mu]
+    for n in range(11):
+        classes = pt.partitions_of(n)
+        sizes = [math.factorial(n) // ch.centralizer_order(rho) for rho in classes]
+        for lam, mu in itertools.product(classes, repeat=2):
+            total = sum(c * x * y for c, x, y in
+                        zip(sizes, ch._char_row(lam), ch._char_row(mu)))
+            assert total == (math.factorial(n) if lam == mu else 0)
+
+
 def reference_multi_kronecker(factors):
     """The class sum one class at a time, as the oracle once computed it."""
     n = pt.size(factors[0])
@@ -110,7 +164,7 @@ def reference_multi_kronecker(factors):
     for rho in pt.partitions_of(n):
         term = ch.class_size(rho)
         for f in factors:
-            term *= ch.character(f, rho)
+            term *= reference_character(f, rho)
         total += term
     assert total % math.factorial(n) == 0
     return total // math.factorial(n)

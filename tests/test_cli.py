@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -87,6 +88,23 @@ def test_saxl_small(tmp_path, capsys):
     assert code == 0
     assert doc["complete"] is True
     assert doc["proved"] == doc["total"]
+
+
+def _cache_files(cache):
+    out = {}
+    for name in os.listdir(cache):
+        with open(os.path.join(cache, name), "rb") as fh:
+            out[name] = fh.read()
+    return out
+
+
+def test_saxl_pool_and_serial_write_the_same_cache(tmp_path, capsys):
+    serial, pool = str(tmp_path / "serial"), str(tmp_path / "pool")
+    assert run(capsys, "saxl", "--m", "4", "--threads", "1", "--cache", serial) == \
+        run(capsys, "saxl", "--m", "4", "--threads", "2", "--cache", pool)
+    files = _cache_files(serial)
+    assert len(files) == 42 and all(name.endswith(".json") for name in files)
+    assert _cache_files(pool) == files
 
 
 def test_decompose(capsys):

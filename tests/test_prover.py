@@ -136,6 +136,17 @@ def _cached_goals(cache):
     return goals
 
 
+def test_verify_saxl_creates_the_cache_directory_once(tmp_path, monkeypatch):
+    made = []
+    makedirs = os.makedirs
+    monkeypatch.setattr(os, "makedirs", lambda *a, **kw: made.append(a) or makedirs(*a, **kw))
+    cache = str(tmp_path / "m3")
+    assert verify_saxl(3, cache_dir=cache)["complete"]
+    assert made == [(cache,)]
+    assert sorted(os.listdir(cache)) == sorted(
+        os.path.basename(prover.cache_path(cache, 3, nu)) for nu in pt.partitions_of(6))
+
+
 def test_verify_saxl_reproves_foreign_cache_entries(tmp_path):
     cache = str(tmp_path / "m4")
     first = verify_saxl(4, cache_dir=cache)
