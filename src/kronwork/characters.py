@@ -47,9 +47,7 @@ def _beta_mask(lam):
     return mask
 
 
-_MN = {}
-
-
+@lru_cache(maxsize=None)
 def _mn(mask, rho):
     """chi(rho) for the shape whose canonical beta mask is mask.
 
@@ -60,10 +58,6 @@ def _mn(mask, rho):
     """
     if not rho:
         return 1
-    key = (mask, rho)
-    total = _MN.get(key)
-    if total is not None:
-        return total
     t = rho[0]
     rest = rho[1:]
     total = 0
@@ -81,7 +75,6 @@ def _mn(mask, rho):
             total -= _mn(sub, rest)
         else:
             total += _mn(sub, rest)
-    _MN[key] = total
     return total
 
 

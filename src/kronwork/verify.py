@@ -254,8 +254,12 @@ def _two_children(cert):
 
 
 def _one_child(cert):
+    """The one child of a Conjugate or Permute node, with the node's arity:
+    Conjugate reads the child's goal at the node's coordinates."""
     if len(cert.children) != 1:
         _fail(cert, "needs exactly one child")
+    if len(cert.children[0].goal) != len(cert.goal):
+        _fail(cert, "child must have the arity of the node")
     return cert.children
 
 

@@ -194,6 +194,18 @@ def test_verifier_rejects_repeated_or_out_of_range_conjugation(coords):
     assert ch.kronecker((1, 1, 1), (3,), (3,)) == 0
 
 
+@pytest.mark.parametrize("kind, meta", [("Conjugate", {"coords": [2, 3]}),
+                                        ("Permute", {"perm": [0, 1, 2]})])
+def test_verifier_rejects_a_one_child_node_of_another_arity(kind, meta):
+    # a 4-ary node over a valid 3-ary leaf: coordinate 3 of the child's goal
+    # does not exist, and reading it used to raise IndexError
+    leaf = ct.base_oracle(((1,), (1,), (1,)))
+    assert verify_certificate(leaf)[0]
+    bad = ct.Certificate(kind, ((1,),) * 4, (leaf,), meta)
+    ok, msg = verify_certificate(bad)
+    assert not ok and "arity" in msg
+
+
 @pytest.mark.parametrize("meta", [{"vertical": ["a", "b"]},
                                   {"vertical": [1, None]},
                                   {"vertical": 12},

@@ -83,6 +83,19 @@ def test_verify_cert_invalid_certificate_reports_not_ok(tmp_path, capsys):
     assert doc["ok"] is False
 
 
+def test_verify_cert_arity_mismatch_reports_not_ok(tmp_path, capsys):
+    # a 4-ary Conjugate over a 3-ary leaf used to print a traceback
+    leaf = {"kind": "OracleLeaf", "goal": ["1", "1", "1"], "children": []}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({
+        "kind": "Conjugate", "goal": ["1", "1", "1", "1"],
+        "children": [leaf], "meta": {"coords": [2, 3]},
+    }))
+    code, doc = run(capsys, "verify-cert", "--file", str(path))
+    assert code == 0
+    assert doc["ok"] is False
+
+
 def test_saxl_small(tmp_path, capsys):
     code, doc = run(capsys, "saxl", "--m", "3", "--cache", str(tmp_path))
     assert code == 0

@@ -206,6 +206,23 @@ def test_verify_saxl_reproves_invalid_cache_entries(tmp_path):
         assert verify_certificate(Certificate.from_json(fh.read()))[0]
 
 
+def test_verify_saxl_reproves_cache_entries_with_an_arity_mismatch(tmp_path):
+    # right goal, but a 4-ary Conjugate sits over a 3-ary leaf: used to
+    # raise IndexError out of the verifier and abort the run
+    cache = str(tmp_path / "m3")
+    first = verify_saxl(3, cache_dir=cache)
+    rho = pt.staircase(3)
+    goal = ((4, 1, 1), rho, rho)
+    leaf = Certificate("OracleLeaf", goal)
+    conj = Certificate("Conjugate", goal + (rho,), (leaf,), {"coords": [2, 3]})
+    path = os.path.join(cache, "m3_4-1-1.json")
+    with open(path, "w") as fh:
+        fh.write(Certificate("Permute", goal, (conj,), {"perm": [0, 1, 2]}).to_json())
+    assert verify_saxl(3, cache_dir=cache) == first
+    with open(path) as fh:
+        assert verify_certificate(Certificate.from_json(fh.read()))[0]
+
+
 def _v_splits_by_subsets(p, s):
     """Reference for `_v_splits`: an exclude-first walk over single rows.
     Its set order is the order the searches try vertical splits in, so the
