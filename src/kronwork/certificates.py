@@ -202,6 +202,15 @@ def combine_vvh(a, b, vertical):
     return Certificate("VVHSum", goal, (a, b), meta={"vertical": vertical})
 
 
+def fold_certs(recipe, certs):
+    """Join the certificates of a split recipe's pieces, given in
+    `pt.recipe_sides` order: H nodes by combine_h, V nodes by combine_vvh
+    on the two factors.  A None certificate (an empty piece) is left out."""
+    it = iter(certs)
+    return pt.fold(recipe, lambda s: next(it), combine_h,
+                   lambda a, b: combine_vvh(a, b, (1, 2)))
+
+
 def conjugate_cert(a, coords):
     """Conjugate an even subset of coordinates."""
     coords = sorted(set(int(c) for c in coords))

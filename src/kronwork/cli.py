@@ -18,10 +18,8 @@ from .certificates import DECODE_ERRORS, Certificate
 from .prover import (
     Budget,
     DEFAULT_NODE_BUDGET,
-    cache_path,
     prove_in_staircase_square,
     verify_saxl,
-    write_cached,
 )
 from .verify import verify_certificate
 
@@ -107,44 +105,14 @@ def _cmd_prove(args):
     return doc
 
 
-def _saxl_worker(job):
-    m, nu, cache, budget, ceiling = job
-    path = cache_path(cache, m, nu)
-    if os.path.exists(path):
-        return True
-    cert = prove_in_staircase_square(m, nu, budget=Budget(budget), ceiling=ceiling)
-    if cert is None:
-        return False
-    write_cached(path, cert)
-    return True
-
-
 def _cmd_saxl(args):
-    cache = args.cache or os.environ.get(CACHE_ENV)
-    threads = args.threads or os.cpu_count() or 1
-    if cache and threads > 1:
-        os.makedirs(cache, exist_ok=True)
-        from concurrent.futures import ProcessPoolExecutor
-
-        targets = pt.partitions_of(pt.triangular(args.m))
-        jobs = [
-            (args.m, nu, cache, args.budget, args.oracle_ceiling) for nu in targets
-        ]
-        done = 0
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for _ in pool.map(_saxl_worker, jobs, chunksize=16):
-                done += 1
-                if done % 1000 == 0:
-                    print(
-                        "saxl m=%d: %d/%d" % (args.m, done, len(targets)),
-                        file=sys.stderr,
-                    )
     return verify_saxl(
         args.m,
-        cache_dir=cache,
+        cache_dir=args.cache or os.environ.get(CACHE_ENV),
         ceiling=args.oracle_ceiling,
         budget_nodes=args.budget,
         progress=True,
+        threads=args.threads or os.cpu_count() or 1,
     )
 
 
@@ -183,7 +151,7 @@ def _cmd_decompose(args):
         "k": args.k,
         "core": pt.format_partition(d.core),
         "flakes": [pt.format_partition(f) for f in d.flakes],
-        "replay_ok": decomp.replay(d.recipe) == pt.staircase(args.m),
+        "replay_ok": d.replay() == pt.staircase(args.m),
     }
 
 

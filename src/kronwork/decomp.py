@@ -10,10 +10,10 @@ from .certificates import (
     base_dominance,
     base_generalized_dominance,
     combine_h,
-    combine_vvh,
     conjugate_cert,
+    fold_certs,
 )
-from .prover import Budget, layer_sides, prove_in_staircase_square
+from .prover import Budget, prove_in_staircase_square
 
 
 class SmoothingError(ValueError):
@@ -21,15 +21,9 @@ class SmoothingError(ValueError):
 
 
 def replay(recipe):
-    """Evaluate a nested ("stair", s) / ("H", [...]) / ("V", [...]) recipe."""
-    op = recipe[0]
-    if op == "stair":
-        return pt.staircase(max(0, recipe[1]))
-    join = pt.hsum if op == "H" else pt.vsum
-    out = ()
-    for child in recipe[1]:
-        out = join(out, replay(child))
-    return out
+    """The partition a ("stair", s) / ("H", [...]) / ("V", [...]) recipe
+    builds."""
+    return pt.fold(recipe, lambda s: pt.staircase(max(0, s)), pt.hsum, pt.vsum)
 
 
 @dataclass
@@ -53,17 +47,10 @@ def stairgrid(n, k):
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    sizes = [[(n + i - j) // k for i in range(k)] for j in range(k)]
-    recipe = ("V", [("H", [("stair", s) for s in row]) for row in sizes])
-    flat = sorted((s for row in sizes for s in row), reverse=True)
+    recipe = pt.stair_grid(n, k)
+    flat = sorted(pt.recipe_sides(recipe), reverse=True)
     return LayerDecomposition(m=n, core=pt.staircase(flat[0]),
                               flakes=flat[1:], recipe=recipe)
-
-
-def _step_recipe(core_recipe, k, y, zs):
-    top = ("H", [core_recipe, ("V", [("stair", y)] * (k - 1))])
-    bottom = ("H", [("stair", z) for z in zs])
-    return ("V", [top, bottom])
 
 
 def layer_decomposition(m, k, i, smooth=False):
@@ -87,7 +74,7 @@ def layer_decomposition(m, k, i, smooth=False):
             return []
         kk = params[idx]
         for part in (1, 2):
-            step = layer_sides(core, kk, part)
+            step = pt.layer_sides(core, kk, part)
             if step is None:
                 continue
             n, y, zs = step
@@ -109,13 +96,11 @@ def layer_decomposition(m, k, i, smooth=False):
             "no smooth split choices for m=%d, k=%d, i=%d" % (m, k, i))
     core_side = steps[-1][1]
     recipe = ("stair", core_side)
-    flakes = []
     for kk, _, y, zs in reversed(steps):
-        recipe = _step_recipe(recipe, kk, y, zs)
-        flakes.extend([y] * (kk - 1))
-        flakes.extend(zs)
+        recipe = pt.layer_step(recipe, kk, y, zs)
+    # the core is the recipe's first piece, the flakes are the rest
     return LayerDecomposition(m=m, core=pt.staircase(core_side),
-                              flakes=sorted(flakes, reverse=True),
+                              flakes=sorted(pt.recipe_sides(recipe)[1:], reverse=True),
                               recipe=recipe)
 
 
@@ -131,9 +116,14 @@ def caret_decompose(k):
                               recipe=recipe)
 
 
+def _split_recipe(m):
+    """The 2x2 grid split of rho_m with each row's pieces largest first."""
+    return ("V", [("H", row[::-1]) for _, row in pt.stair_grid(m, 2)[1]])
+
+
 def split_targets(m):
     """Staircase sides for the four column-split pieces of rho_m."""
-    return [(m + 1) // 2, m // 2, m // 2, (m - 1) // 2]
+    return pt.recipe_sides(_split_recipe(m))
 
 
 @dataclass
@@ -156,9 +146,7 @@ def _assemble_split(nu, m, targets, parts, statuses, log, unassigned=0):
     ok = not unassigned and all(s == "ok" for s in statuses)
     cert = None
     if ok:
-        certs = [base_dominance(t, p) for t, p in zip(targets, parts)]
-        cert = combine_vvh(combine_h(certs[0], certs[1]),
-                           combine_h(certs[2], certs[3]), (1, 2))
+        cert = fold_certs(_split_recipe(m), map(base_dominance, targets, parts))
         rho = pt.staircase(m)
         if cert.goal != (nu, rho, rho):
             raise AssertionError("split assembly mismatch")
@@ -223,8 +211,7 @@ def uniform_split(nu, m):
             log.append("part %d short %d with only %d singletons left"
                        % (p + 1, need, ones))
     groups[3].extend([1] * ones)
-    parts = [pt.from_rows(pt.conjugate(tuple(sorted(g, reverse=True))))
-             for g in groups]
+    parts = [_columns_to_partition(g) for g in groups]
     statuses = [_part_status(p, t, g)
                 for p, t, g in zip(parts, targets, goals)]
     return _assemble_split(nu, m, targets, parts, statuses, log)
@@ -272,8 +259,7 @@ def plancherel_split(nu, m, threshold=None):
             unassigned += c
     if unassigned:
         log.append("%d blocks of short columns left unplaced" % unassigned)
-    parts = [pt.from_rows(pt.conjugate(tuple(sorted(g, reverse=True))))
-             for g in groups]
+    parts = [_columns_to_partition(g) for g in groups]
     statuses = [_part_status(p, t, g)
                 for p, t, g in zip(parts, targets, goals)]
     return _assemble_split(nu, m, targets, parts, statuses, log, unassigned)
@@ -396,27 +382,28 @@ def cut_tail(mu, targets, C):
     half = -(-b // 2)
 
     bins, leftover = _greedy_columns(cols, [pt.triangular(s) for s in targets])
-    # pieces: (target side, columns, tall flag, owner index)
+    # pieces: [side, columns, tall flag]; each target's recipe joins its
+    # pieces, one staircase or the k=2 grid split
     pieces = []
-    grouping = []
+    recipes = []
     pool = list(leftover)
-    for i, (s, own) in enumerate(zip(targets, bins)):
+    for s, own in zip(targets, bins):
         whole = _columns_to_partition(own)
         if (sum(own) == pt.triangular(s)
                 and pt.comparable(whole, pt.staircase(s))):
-            grouping.append([len(pieces)])
+            recipes.append(("stair", s))
             pieces.append([s, list(own), bool(own) and min(own) >= s])
             continue
         if not own or max(own) <= half:
-            grouping.append([len(pieces)])
+            recipes.append(("stair", s))
             pieces.append([s, list(own), False])
             continue
         # tall piece: split four ways like the k=2 staircase grid
-        subsides = [s // 2, (s + 1) // 2, (s - 1) // 2, s // 2]
+        recipes.append(pt.stair_grid(s, 2))
+        subsides = pt.recipe_sides(recipes[-1])
         subs, extra = _greedy_columns(sorted(own),
                                       [pt.triangular(t) for t in subsides])
         pool.extend(extra)
-        grouping.append(list(range(len(pieces), len(pieces) + 4)))
         for t, sub in zip(subsides, subs):
             tall = bool(sub) and min(sub) >= t
             pieces.append([t, sub, tall])
@@ -431,7 +418,6 @@ def cut_tail(mu, targets, C):
 
     exceptional = 0
     piece_certs = []
-    final = []
     for (s, _, _), colset in zip(pieces, log.pieces):
         part = _columns_to_partition(colset)
         cert = base_dominance(s, part)
@@ -449,25 +435,15 @@ def cut_tail(mu, targets, C):
                     cert = prove_in_staircase_square(s, part)
                 if cert is not None:
                     break
-        final.append(part)
         piece_certs.append(cert)
 
-    part_certs = []
-    parts = []
-    for s, idxs in zip(targets, grouping):
-        if len(idxs) == 1:
-            part_certs.append(piece_certs[idxs[0]])
-            parts.append(final[idxs[0]])
-        else:
-            a, bb, c, d = (piece_certs[j] for j in idxs)
-            cert = combine_vvh(combine_h(a, bb), combine_h(c, d), (1, 2))
-            if cert.goal[1] != pt.staircase(s):
-                raise AssertionError("four-way reassembly mismatch")
-            part_certs.append(cert)
-            parts.append(cert.goal[0])
-    cert = part_certs[0]
-    for extra in part_certs[1:]:
-        cert = combine_h(cert, extra)
+    # each target's recipe takes its pieces' certificates off one iterator
+    certs = iter(piece_certs)
+    part_certs = [fold_certs(r, certs) for r in recipes]
+    if any(c.goal[1] != pt.staircase(s) for c, s in zip(part_certs, targets)):
+        raise AssertionError("piece reassembly mismatch")
+    parts = [c.goal[0] for c in part_certs]
+    cert = fold_certs(("H", [("stair", s) for s in targets]), part_certs)
     mu_hat = cert.goal[0]
 
     structured = len(log.trace) - 1 - exceptional
@@ -529,8 +505,8 @@ def _near_square(m, mu, attempt_nodes=30000):
             raise AssertionError("conjugate retry mismatch")
         return pt.conjugate(target), flipped
 
-    step = layer_sides(m, 4, 1) or layer_sides(m, 4, 2)
-    x, y, zs = step
+    x, y, zs = pt.layer_sides(m, 4, 1) or pt.layer_sides(m, 4, 2)
+    recipe = pt.layer_step(("stair", x), 4, y, zs)
     cols = sorted(pt.conjugate(mu), reverse=True)
     total = 0
     j = 0
@@ -540,18 +516,12 @@ def _near_square(m, mu, attempt_nodes=30000):
     head = _columns_to_partition(cols[:j])
     tail = _columns_to_partition(cols[j:])
     C = max(1, cols[j - 1])
-    ct = cut_tail(tail, [y, y, y] + zs, C)
+    ct = cut_tail(tail, pt.recipe_sides(recipe)[1:], C)
 
     excess = pt.size(head) - pt.triangular(x)
-    head_target, head_cert = _near_square(x, _shed_blocks(head, excess))
+    _, head_cert = _near_square(x, _shed_blocks(head, excess))
 
-    ycert = combine_vvh(combine_vvh(ct.part_certs[0], ct.part_certs[1],
-                                    (1, 2)), ct.part_certs[2], (1, 2))
-    top = combine_h(head_cert, ycert)
-    zcert = ct.part_certs[3]
-    for extra in ct.part_certs[4:]:
-        zcert = combine_h(zcert, extra)
-    full = combine_vvh(top, zcert, (1, 2))
+    full = fold_certs(recipe, [head_cert] + ct.part_certs)
     if full.goal[1] != rho:
         raise AssertionError("layer reassembly does not rebuild the staircase")
     return full.goal[0], full

@@ -1,4 +1,5 @@
-"""Integer partitions: construction, orders, sums, families, and block moves.
+"""Integer partitions: construction, orders, sums, families, staircase split
+recipes, and block moves.
 
 Partitions are plain tuples of positive ints in weakly decreasing order.
 The empty partition is ().
@@ -125,6 +126,66 @@ def caret(m):
     for r in range(m - 1, 0, -1):
         rows.extend((r, r))
     return check_partition(rows)
+
+
+# Staircase splits.  A recipe is a tree of ("stair", s) pieces and
+# ("H", [...]) / ("V", [...]) nodes, horizontal and vertical sums; the
+# splits of the semigroup property are written here once, and the prover,
+# the decompositions and the pipeline fold them.
+
+
+def fold(recipe, leaf, h, v):
+    """Evaluate a recipe: leaf(s) for each ("stair", s), in fold order
+    (depth first, left to right), joined left to right by h at an H node
+    and by v at a V node.  A None value is left out of its join, and a
+    node whose values are all None is None."""
+    op, arg = recipe
+    if op == "stair":
+        return leaf(arg)
+    join = h if op == "H" else v
+    out = None
+    for child in arg:
+        val = fold(child, leaf, h, v)
+        if val is not None:
+            out = val if out is None else join(out, val)
+    return out
+
+
+def recipe_sides(recipe):
+    """The staircase sides of a recipe's pieces, in fold order."""
+    if recipe[0] == "stair":
+        return [recipe[1]]
+    return [s for child in recipe[1] for s in recipe_sides(child)]
+
+
+def stair_grid(n, k):
+    """rho_n as a k-by-k grid: piece (j, i) has side (n + i - j) // k, the
+    pieces of a row sum horizontally and the rows vertically."""
+    return ("V", [("H", [("stair", (n + i - j) // k) for i in range(k)])
+                  for j in range(k)])
+
+
+def layer_sides(m, k, part):
+    """Sides for one layer split of rho_m: core, repeated flake, bottom
+    flakes.  Returns None when the variant does not reach m."""
+    if part == 1:
+        if m % k == k - 1:
+            return None
+        n = (m // k) * (k - 1) + m % k
+    else:
+        if m % k == 0 or (m - 1) % k == k - 1:
+            return None
+        n = ((m - 1) // k) * (k - 1) + (m - 1) % k
+    y = n // (k - 1)
+    base = n + y + (1 - k if part == 1 else 1)
+    return n, y, [max(0, (base + i) // k) for i in range(k)]
+
+
+def layer_step(core, k, y, zs):
+    """One layer split around the recipe `core`: the core beside k - 1
+    stacked staircases of side y, over a row of staircases of sides zs."""
+    top = ("H", [core, ("V", [("stair", y)] * (k - 1))])
+    return ("V", [top, ("H", [("stair", z) for z in zs])])
 
 
 def durfee(lam):

@@ -2,7 +2,7 @@
 
 import os
 import sys
-from itertools import groupby
+from itertools import groupby, repeat
 
 from . import partitions as pt
 from . import characters as ch
@@ -17,6 +17,7 @@ from .certificates import (
     combine_h,
     combine_vvh,
     conjugate_cert,
+    fold_certs,
     permute_cert,
 )
 from .verify import verify_certificate
@@ -60,10 +61,13 @@ _ORACLE_CACHE = {}
 def prove_in_staircase_square(m, nu, budget=None, ceiling=ch.DEFAULT_ORACLE_CEILING):
     """Find a certificate for (nu; rho_m, rho_m), or None.
 
-    Search order: direct base facts, the four-part grid split with
-    backtracking over column assignments, recursion on stubborn parts,
-    a conjugate retry, a square-seeded tree search for rectangles and
-    other hard targets, and finally the oracle when the size is small.
+    Search order: the dominance and hook leaves; packing the columns of
+    nu, with backtracking, into the pieces of the 2x2 grid split and then
+    of the k = 2, 3, 4 layer splits, proving stubborn pieces recursively;
+    a conjugate retry, which runs this whole search on the conjugate of
+    nu; the tree search, seeded with symmetric cubes and then general; the
+    chunk search, which peels oracle-sized pieces off all three
+    coordinates; and finally the oracle when the size is small.
     """
     nu = pt.check_partition(nu)
     if pt.size(nu) != pt.triangular(m):
@@ -110,78 +114,25 @@ def _prove(m, nu, budget, ceiling, depth, allow_flip):
 
 
 # ---------------------------------------------------------------------------
-# grid split: rho_m as a 2x2 array of smaller staircases
-
-
-def grid_sizes(m):
-    """Staircase parameters of the four grid pieces, rows then columns."""
-    return [[(m + i - j) // 2 for i in (0, 1)] for j in (0, 1)]
-
-
-def layer_sides(m, k, part):
-    """Sides for one layer split of rho_m: core, repeated flake, bottom
-    flakes.  Returns None when the variant does not reach m."""
-    if part == 1:
-        if m % k == k - 1:
-            return None
-        n = (m // k) * (k - 1) + m % k
-    else:
-        if m % k == 0 or (m - 1) % k == k - 1:
-            return None
-        n = ((m - 1) // k) * (k - 1) + (m - 1) % k
-    y = n // (k - 1)
-    base = n + y + (1 - k if part == 1 else 1)
-    return n, y, [max(0, (base + i) // k) for i in range(k)]
+# grid and layer splits: pack the columns of nu into the pieces of a recipe
 
 
 def _grid_search(m, nu, budget, ceiling, depth):
-    sizes = grid_sizes(m)
-
-    def assemble(certs, flat):
-        row_certs = []
-        for j in (0, 1):
-            picked = [certs[2 * j + i] for i in (0, 1) if flat[2 * j + i] > 0]
-            c = picked[0]
-            for other in picked[1:]:
-                c = combine_h(c, other)
-            row_certs.append(c)
-        if len(row_certs) == 1:
-            return row_certs[0]
-        return combine_vvh(row_certs[0], row_certs[1], (1, 2))
-
-    flat = [s for row in sizes for s in row]
-    return _pack_search(m, nu, flat, assemble, budget, ceiling, depth)
+    return _pack_search(m, nu, pt.stair_grid(m, 2), budget, ceiling, depth)
 
 
 def _layer_search(m, nu, budget, ceiling, depth):
     """Pack columns of nu into the pieces of a staircase layer split."""
     for k in (2, 3, 4):
         for part in (1, 2):
-            step = layer_sides(m, k, part)
+            step = pt.layer_sides(m, k, part)
             if step is None:
                 continue
             x, y, zs = step
             if x >= m or x < 1:
                 continue
-            flat = [x] + [y] * (k - 1) + zs
-
-            def assemble(certs, flat, k=k):
-                cert = certs[0]
-                ys = [c for c, s in zip(certs[1:k], flat[1:k]) if s > 0]
-                if ys:
-                    stack = ys[0]
-                    for other in ys[1:]:
-                        stack = combine_vvh(stack, other, (1, 2))
-                    cert = combine_h(cert, stack)
-                zc = [c for c, s in zip(certs[k:], flat[k:]) if s > 0]
-                if zc:
-                    bottom = zc[0]
-                    for other in zc[1:]:
-                        bottom = combine_h(bottom, other)
-                    cert = combine_vvh(cert, bottom, (1, 2))
-                return cert
-
-            cert = _pack_search(m, nu, flat, assemble, budget, ceiling, depth)
+            recipe = pt.layer_step(("stair", x), k, y, zs)
+            cert = _pack_search(m, nu, recipe, budget, ceiling, depth)
             if cert is not None:
                 return cert
             if budget.exhausted:
@@ -189,7 +140,8 @@ def _layer_search(m, nu, budget, ceiling, depth):
     return None
 
 
-def _pack_search(m, nu, flat, assemble, budget, ceiling, depth):
+def _pack_search(m, nu, recipe, budget, ceiling, depth):
+    flat = pt.recipe_sides(recipe)
     caps = [pt.triangular(s) for s in flat]
     cols = list(pt.conjugate(nu))
     bins = [[] for _ in flat]
@@ -207,7 +159,7 @@ def _pack_search(m, nu, flat, assemble, budget, ceiling, depth):
         return cert
 
     def build(certs):
-        cert = assemble(certs, flat)
+        cert = fold_certs(recipe, certs)
         rho = pt.staircase(m)
         if cert.goal != (nu, rho, rho):
             raise AssertionError("pack assembly mismatch")
@@ -692,38 +644,60 @@ def _read_cached(path, goal, ceiling):
     return cert
 
 
+def _prove_into(m, nu, path, ceiling, budget_nodes):
+    """Prove nu inside the square of rho_m and verify the certificate,
+    then cache it at path unless path is None.  None if no proof is found."""
+    cert = prove_in_staircase_square(
+        m, nu, budget=Budget(budget_nodes), ceiling=ceiling
+    )
+    if cert is not None:
+        ok, msg = verify_certificate(cert, ceiling=ceiling)
+        if not ok:
+            raise AssertionError("bad certificate for %s: %s" % (nu, msg))
+        if path is not None:
+            write_cached(path, cert)
+    return cert
+
+
 def verify_saxl(m, cache_dir=None, ceiling=ch.DEFAULT_ORACLE_CEILING,
-                budget_nodes=DEFAULT_NODE_BUDGET, progress=False):
+                budget_nodes=DEFAULT_NODE_BUDGET, progress=False, threads=1):
     """Prove every partition of m(m+1)/2 inside the staircase square.
 
     Returns a report dict; certificates are verified before being counted
-    or cached as JSON files when a cache directory is given.
+    or cached as JSON files when a cache directory is given.  With a cache
+    and threads > 1, a pool of that many processes first proves the
+    targets that have no cache file; the report is then aggregated in this
+    process from the cache, so it does not depend on the thread count.
     """
     n = pt.triangular(m)
     rho = pt.staircase(m)
-    total = pt.partition_count(n)
+    targets = pt.partitions_of(n)
+    total = len(targets)
     proved = 0
     failures = []
-    done = 0
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
-    for nu in pt.partitions_of(n):
-        done += 1
-        cert = None
-        path = None
+    if cache_dir is not None and threads > 1:
+        # the targets with no cache file are proved into it by the pool
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        todo = [nu for nu in targets
+                if not os.path.exists(cache_path(cache_dir, m, nu))]
+        paths = [cache_path(cache_dir, m, nu) for nu in todo]
+        with ProcessPoolExecutor(threads, mp_context=get_context("spawn")) as pool:
+            jobs = pool.map(_prove_into, repeat(m), todo, paths, repeat(ceiling),
+                            repeat(budget_nodes), chunksize=16)
+            for done, _ in enumerate(jobs, 1):
+                if progress and done % 1000 == 0:
+                    print("saxl m=%d: %d/%d" % (m, done, len(todo)), file=sys.stderr)
+    for done, nu in enumerate(targets, 1):
+        cert = path = None
         if cache_dir is not None:
             path = cache_path(cache_dir, m, nu)
             cert = _read_cached(path, (nu, rho, rho), ceiling)
         if cert is None:
-            cert = prove_in_staircase_square(
-                m, nu, budget=Budget(budget_nodes), ceiling=ceiling
-            )
-            if cert is not None:
-                ok, msg = verify_certificate(cert, ceiling=ceiling)
-                if not ok:
-                    raise AssertionError("bad certificate for %s: %s" % (nu, msg))
-                if path is not None:
-                    write_cached(path, cert)
+            cert = _prove_into(m, nu, path, ceiling, budget_nodes)
         if cert is None:
             failures.append(nu)
         else:

@@ -113,12 +113,19 @@ def _verify(cert, ceiling, depth, seen):
         if depth + height > MAX_DEPTH:
             raise VerificationFailure("certificate tree too deep")
         return height
+    # a certificate built in Python may hold anything: shapes come first
     goal = cert.goal
-    if len(goal) < 3:
+    if type(goal) is not tuple or len(goal) < 3:
         _fail(cert, "goal needs a target and at least two factors")
     for p in goal:
-        if not _is_partition(tuple(p)):
+        if type(p) is not tuple or not _is_partition(p):
             _fail(cert, "goal entry is not a partition: %r" % (p,))
+    if not isinstance(cert.meta, dict):
+        _fail(cert, "meta is not a mapping")
+    if type(cert.children) is not tuple or not all(
+        map(isinstance, cert.children, repeat(type(cert)))
+    ):
+        _fail(cert, "children are not a tuple of certificates")
     if len(set(map(_wt, goal))) != 1:
         _fail(cert, "goal entries have unequal sizes")
 
@@ -248,7 +255,7 @@ def _two_children(cert):
     a longer goal's extra factors."""
     if len(cert.children) != 2:
         _fail(cert, "needs exactly two children")
-    if any(len(c.goal) != len(cert.goal) for c in cert.children):
+    if not all(map(_same_arity, cert.children, repeat(cert))):
         _fail(cert, "children must have the arity of the node")
     return cert.children
 
@@ -258,9 +265,13 @@ def _one_child(cert):
     Conjugate reads the child's goal at the node's coordinates."""
     if len(cert.children) != 1:
         _fail(cert, "needs exactly one child")
-    if len(cert.children[0].goal) != len(cert.goal):
+    if not _same_arity(cert.children[0], cert):
         _fail(cert, "child must have the arity of the node")
     return cert.children
+
+
+def _same_arity(child, cert):
+    return type(child.goal) is tuple and len(child.goal) == len(cert.goal)
 
 
 def _check_filling(cert, mu, nu, filling):

@@ -379,3 +379,26 @@ def test_malformed_goals_raise_as_before_after_a_cached_parse(bad, good):
     for _ in range(2):
         assert _decode_error(ct.Certificate.from_dict, doc(bad)) == want
     assert ct.Certificate.from_dict(doc(good)).goal == (pt.parse_partition(good),) * 3
+
+
+_ROW_TWO = ct.base_generalized_dominance((2,), (2,))
+
+
+# Certificates built in Python, not decoded from JSON, whose goal, meta or
+# children do not have the decoded types; each of these used to raise.
+@pytest.mark.parametrize("cert", [
+    ct.Certificate("OracleLeaf", ((1,), 1, (1,))),
+    ct.Certificate("OracleLeaf", None),
+    ct.Certificate("DominanceStaircase", ((2, 1),) * 3, meta=None),
+    ct.Certificate("HSum", ((4,),) * 3, (_ROW_TWO, ct.Certificate("OracleLeaf", None))),
+    # a list-row child passed, then the vertical sum added a list to a tuple
+    ct.Certificate("VVHSum", ((4,), (2, 2), (2, 2)),
+                   (ct.Certificate("GeneralizedDominance", ([2], [2], [2])), _ROW_TWO),
+                   {"vertical": [1, 2]}),
+    ct.Certificate("HSum", ((4,),) * 3, (_ROW_TWO, 5)),
+    ct.Certificate("HSum", ((4,),) * 3, 7),
+], ids=["int-entry", "none-goal", "none-meta", "child-none-goal", "list-rows",
+        "int-child", "int-children"])
+def test_verifier_fails_closed_on_malformed_python_certificates(cert):
+    ok, msg = verify_certificate(cert)
+    assert not ok and msg

@@ -15,13 +15,17 @@ from kronwork.prover import (
     _h_splits,
     _v_splits,
     _walk_pairs,
-    grid_sizes,
-    layer_sides,
     prove_in_staircase_square,
     prove_rectangle_cube,
     verify_saxl,
 )
-from kronwork.certificates import Certificate
+from kronwork.certificates import (
+    Certificate,
+    base_dominance,
+    combine_h,
+    combine_vvh,
+    fold_certs,
+)
 from kronwork.verify import verify_certificate
 
 
@@ -59,7 +63,9 @@ def test_certificate_goals_are_oracle_positive_everywhere():
 
 def test_grid_sizes_partition_the_staircase():
     for m in range(2, 30):
-        sides = [s for row in grid_sizes(m) for s in row]
+        sides = pt.recipe_sides(pt.stair_grid(m, 2))
+        # rows then columns: the pack search fills the pieces in this order
+        assert sides == [m // 2, (m + 1) // 2, (m - 1) // 2, m // 2]
         assert sum(pt.triangular(s) for s in sides) == pt.triangular(m)
 
 
@@ -67,14 +73,75 @@ def test_layer_sides_partition_the_staircase():
     for m in range(2, 40):
         for k in (2, 3, 4, 5):
             for part in (1, 2):
-                step = layer_sides(m, k, part)
+                step = pt.layer_sides(m, k, part)
                 if step is None:
                     continue
                 n, y, zs = step
                 total = pt.triangular(n) + (k - 1) * pt.triangular(y)
                 total += sum(pt.triangular(z) for z in zs)
                 assert total == pt.triangular(m), (m, k, part)
-            assert any(layer_sides(m, k, p) is not None for p in (1, 2))
+            assert any(pt.layer_sides(m, k, p) is not None for p in (1, 2))
+
+
+# The hand-written joins the grid and layer searches used before they folded
+# recipes, kept as reference code: certs[b] proves piece b, None when empty.
+
+
+def _grid_assemble(certs, flat):
+    row_certs = []
+    for j in (0, 1):
+        picked = [certs[2 * j + i] for i in (0, 1) if flat[2 * j + i] > 0]
+        c = picked[0]
+        for other in picked[1:]:
+            c = combine_h(c, other)
+        row_certs.append(c)
+    if len(row_certs) == 1:
+        return row_certs[0]
+    return combine_vvh(row_certs[0], row_certs[1], (1, 2))
+
+
+def _layer_assemble(certs, flat, k):
+    cert = certs[0]
+    ys = [c for c, s in zip(certs[1:k], flat[1:k]) if s > 0]
+    if ys:
+        stack = ys[0]
+        for other in ys[1:]:
+            stack = combine_vvh(stack, other, (1, 2))
+        cert = combine_h(cert, stack)
+    zc = [c for c, s in zip(certs[k:], flat[k:]) if s > 0]
+    if zc:
+        bottom = zc[0]
+        for other in zc[1:]:
+            bottom = combine_h(bottom, other)
+        cert = combine_vvh(cert, bottom, (1, 2))
+    return cert
+
+
+def test_folded_recipes_match_the_hand_written_joins():
+    def same(recipe, reference):
+        # every other piece proves the one-row target, so that two pieces
+        # of one side that trade places give another certificate
+        flat = pt.recipe_sides(recipe)
+        certs = [base_dominance(s, (pt.triangular(s),) if b % 2 else pt.staircase(s))
+                 if s else None for b, s in enumerate(flat)]
+        got = fold_certs(recipe, certs)
+        assert got.goal[1:] == (pt.staircase(m),) * 2
+        assert got.to_json() == reference(certs, flat).to_json()
+
+    layers = 0
+    for m in range(2, 41):
+        same(pt.stair_grid(m, 2), _grid_assemble)
+        for k in (2, 3, 4):
+            for part in (1, 2):
+                step = pt.layer_sides(m, k, part)
+                if step is None or step[0] < 1:
+                    continue
+                x, y, zs = step
+                recipe = pt.layer_step(("stair", x), k, y, zs)
+                assert pt.recipe_sides(recipe) == [x] + [y] * (k - 1) + zs
+                same(recipe, lambda certs, flat: _layer_assemble(certs, flat, k))
+                layers += 1
+    assert layers > 100
 
 
 def test_budget_stops_search():
