@@ -2,7 +2,8 @@
 
 A certificate proves that the tensor product of the factor shapes contains
 the target shape.  Goals are tuples of partitions with the target at
-coordinate 0; Permute nodes keep that normalization.
+coordinate 0.  The verifier also accepts Permute nodes, which reorder a
+child's coordinates, but no builder here makes them.
 """
 
 import json
@@ -220,12 +221,3 @@ def conjugate_cert(a, coords):
         pt.conjugate(p) if i in coords else p for i, p in enumerate(a.goal)
     )
     return Certificate("Conjugate", goal, (a,), meta={"coords": coords})
-
-
-def permute_cert(a, perm):
-    """Reorder goal coordinates; used to move the target to coordinate 0."""
-    perm = list(int(p) for p in perm)
-    if sorted(perm) != list(range(len(a.goal))):
-        raise ValueError("not a permutation of the coordinates")
-    goal = tuple(a.goal[p] for p in perm)
-    return Certificate("Permute", goal, (a,), meta={"perm": perm})

@@ -211,7 +211,7 @@ def uniform_split(nu, m):
             log.append("part %d short %d with only %d singletons left"
                        % (p + 1, need, ones))
     groups[3].extend([1] * ones)
-    parts = [_columns_to_partition(g) for g in groups]
+    parts = [pt.from_columns(g) for g in groups]
     statuses = [_part_status(p, t, g)
                 for p, t, g in zip(parts, targets, goals)]
     return _assemble_split(nu, m, targets, parts, statuses, log)
@@ -259,7 +259,7 @@ def plancherel_split(nu, m, threshold=None):
             unassigned += c
     if unassigned:
         log.append("%d blocks of short columns left unplaced" % unassigned)
-    parts = [_columns_to_partition(g) for g in groups]
+    parts = [pt.from_columns(g) for g in groups]
     statuses = [_part_status(p, t, g)
                 for p, t, g in zip(parts, targets, goals)]
     return _assemble_split(nu, m, targets, parts, statuses, log, unassigned)
@@ -301,10 +301,6 @@ class CutTailResult:
         return len(self.trace) - 1
 
 
-def _columns_to_partition(cols):
-    return pt.from_rows(pt.conjugate(tuple(sorted(cols, reverse=True))))
-
-
 def _greedy_columns(cols, caps):
     """Deal ascending columns into bins with size caps; a column that no
     longer fits ends its bin.  Returns the bins and the leftover columns."""
@@ -332,7 +328,7 @@ class _MoveLog:
         cols = list(self.pool)
         for p in self.pieces:
             cols.extend(p)
-        return _columns_to_partition(cols)
+        return pt.from_columns(cols)
 
     def _draw(self):
         """Take one block from the tallest pool column, if any."""
@@ -388,7 +384,7 @@ def cut_tail(mu, targets, C):
     recipes = []
     pool = list(leftover)
     for s, own in zip(targets, bins):
-        whole = _columns_to_partition(own)
+        whole = pt.from_columns(own)
         if (sum(own) == pt.triangular(s)
                 and pt.comparable(whole, pt.staircase(s))):
             recipes.append(("stair", s))
@@ -419,7 +415,7 @@ def cut_tail(mu, targets, C):
     exceptional = 0
     piece_certs = []
     for (s, _, _), colset in zip(pieces, log.pieces):
-        part = _columns_to_partition(colset)
+        part = pt.from_columns(colset)
         cert = base_dominance(s, part)
         if cert is None:
             cert = prove_in_staircase_square(s, part)
@@ -513,8 +509,8 @@ def _near_square(m, mu, attempt_nodes=30000):
     while total < pt.triangular(x):
         total += cols[j]
         j += 1
-    head = _columns_to_partition(cols[:j])
-    tail = _columns_to_partition(cols[j:])
+    head = pt.from_columns(cols[:j])
+    tail = pt.from_columns(cols[j:])
     C = max(1, cols[j - 1])
     ct = cut_tail(tail, pt.recipe_sides(recipe)[1:], C)
 
@@ -549,7 +545,7 @@ def fourth_power_pipeline(nu, attempt_nodes=30000):
         cols.append(1)
     for _ in range(k):
         cols.remove(1)
-    mu_hat = _columns_to_partition(cols)
+    mu_hat = pt.from_columns(cols)
 
     inner_target, cert = _near_square(m, mu_hat, attempt_nodes)
     nu_hat = inner_target

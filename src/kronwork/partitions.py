@@ -50,6 +50,11 @@ def conjugate(lam):
     return tuple(reversed(sorted(cols)))
 
 
+def from_columns(cols):
+    """The partition whose columns have the given heights, in any order."""
+    return conjugate(tuple(sorted(cols, reverse=True)))
+
+
 def dominates(lam, mu):
     """Prefix-sum dominance: every prefix of lam is >= that of mu.
 

@@ -2,6 +2,8 @@
 
 import os
 import sys
+from contextlib import ExitStack
+from functools import lru_cache, partial
 from itertools import groupby, repeat
 
 from . import partitions as pt
@@ -18,11 +20,13 @@ from .certificates import (
     combine_vvh,
     conjugate_cert,
     fold_certs,
-    permute_cert,
 )
 from .verify import verify_certificate
 
 DEFAULT_NODE_BUDGET = 100000
+
+# entries kept by each search cache (oracle leaves, splits, split indexes)
+_CACHE_SIZE = 200000
 
 
 class Budget:
@@ -41,21 +45,20 @@ class Budget:
 
 
 def _oracle_leaf(goal, ceiling):
-    """Oracle leaf attempt with a failure cache."""
-    goal = tuple(tuple(p) for p in goal)
+    """Oracle leaf for a goal given as a tuple of tuples, or None.  Goals
+    above the ceiling are turned away before the cache, so they cannot
+    crowd out the leaves it holds."""
     if pt.size(goal[0]) > ceiling:
         return None
-    cached = _ORACLE_CACHE.get(goal)
-    if cached is None:
-        cert = base_oracle(goal, ceiling=ceiling)
-        _ORACLE_CACHE[goal] = cert if cert is not None else False
-        return cert
-    if cached is False:
-        return None
-    return cached
+    return _cached_oracle(goal, ceiling)
 
 
-_ORACLE_CACHE = {}
+_cached_oracle = lru_cache(maxsize=_CACHE_SIZE)(base_oracle)
+
+
+def _staircase_leaf(m, nu):
+    """The dominance leaf for (nu; rho_m, rho_m), else the hook leaf, or None."""
+    return base_dominance(m, nu) or base_hook(m, nu)
 
 
 def prove_in_staircase_square(m, nu, budget=None, ceiling=ch.DEFAULT_ORACLE_CEILING):
@@ -63,11 +66,11 @@ def prove_in_staircase_square(m, nu, budget=None, ceiling=ch.DEFAULT_ORACLE_CEIL
 
     Search order: the dominance and hook leaves; packing the columns of
     nu, with backtracking, into the pieces of the 2x2 grid split and then
-    of the k = 2, 3, 4 layer splits, proving stubborn pieces recursively;
-    a conjugate retry, which runs this whole search on the conjugate of
-    nu; the tree search, seeded with symmetric cubes and then general; the
-    chunk search, which peels oracle-sized pieces off all three
-    coordinates; and finally the oracle when the size is small.
+    of the k = 3, 4 layer splits, proving stubborn pieces recursively; a
+    conjugate retry, which runs this whole search on the conjugate of nu;
+    the tree search, seeded with symmetric cubes; the chunk search, which
+    peels oracle-sized pieces off all three coordinates; and finally the
+    oracle when the size is small.
     """
     nu = pt.check_partition(nu)
     if pt.size(nu) != pt.triangular(m):
@@ -83,10 +86,7 @@ def prove_in_staircase_square(m, nu, budget=None, ceiling=ch.DEFAULT_ORACLE_CEIL
 
 
 def _prove(m, nu, budget, ceiling, depth, allow_flip):
-    cert = base_dominance(m, nu)
-    if cert is not None:
-        return cert
-    cert = base_hook(m, nu)
+    cert = _staircase_leaf(m, nu)
     if cert is not None:
         return cert
     if m >= 2:
@@ -100,17 +100,16 @@ def _prove(m, nu, budget, ceiling, depth, allow_flip):
         flipped = _prove(m, pt.conjugate(nu), budget, ceiling, depth, False)
         if flipped is not None:
             return conjugate_cert(flipped, (0, 1))
+    rho = pt.staircase(m)
     if depth > 0 and not budget.exhausted:
-        rho = pt.staircase(m)
-        cert = _tree_search((nu, rho, rho), budget, ceiling, max_leaves=4)
+        cert = _tree_search((nu, rho, rho), budget, ceiling)
         if cert is not None:
             return cert
     if depth >= 2:
-        rho = pt.staircase(m)
         cert = _chunk_search((nu, rho, rho), Budget(60000), ceiling)
         if cert is not None:
             return cert
-    return _oracle_leaf((nu, pt.staircase(m)) + (pt.staircase(m),), ceiling)
+    return _oracle_leaf((nu, rho, rho), ceiling)
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +121,12 @@ def _grid_search(m, nu, budget, ceiling, depth):
 
 
 def _layer_search(m, nu, budget, ceiling, depth):
-    """Pack columns of nu into the pieces of a staircase layer split."""
-    for k in (2, 3, 4):
+    """Pack columns of nu into the pieces of a staircase layer split.
+
+    Only k = 3 and 4: for every m the k = 2 split is the grid split itself,
+    in order or with its two rows swapped, which `_grid_search` has tried.
+    """
+    for k in (3, 4):
         for part in (1, 2):
             step = pt.layer_sides(m, k, part)
             if step is None:
@@ -149,15 +152,6 @@ def _pack_search(m, nu, recipe, budget, ceiling, depth):
     failed = set()
     stash = []
 
-    def parts_of(bins):
-        return [pt.conjugate(tuple(b)) for b in bins]
-
-    def cheap_cert(s, lam):
-        cert = base_dominance(s, lam)
-        if cert is None:
-            cert = base_hook(s, lam)
-        return cert
-
     def build(certs):
         cert = fold_certs(recipe, certs)
         rho = pt.staircase(m)
@@ -166,14 +160,14 @@ def _pack_search(m, nu, recipe, budget, ceiling, depth):
         return cert
 
     def finish(bins, recurse):
-        lams = parts_of(bins)
+        lams = [pt.from_columns(b) for b in bins]
         certs = []
         hard = []
         for b, lam in enumerate(lams):
             if flat[b] == 0:
                 certs.append(None)
                 continue
-            cert = cheap_cert(flat[b], lam)
+            cert = _staircase_leaf(flat[b], lam)
             certs.append(cert)
             if cert is None:
                 hard.append(b)
@@ -183,10 +177,6 @@ def _pack_search(m, nu, recipe, budget, ceiling, depth):
             return None
         for b in hard:
             sub = _prove(flat[b], lams[b], budget, ceiling, depth - 1, True)
-            if sub is None:
-                sub = _oracle_leaf(
-                    (lams[b], pt.staircase(flat[b]), pt.staircase(flat[b])), ceiling
-                )
             if sub is None:
                 return None
             certs[b] = sub
@@ -235,8 +225,8 @@ def _pack_search(m, nu, recipe, budget, ceiling, depth):
 
 
 # ---------------------------------------------------------------------------
-# general semigroup tree search (used for rectangles and other targets the
-# grid split cannot reach; seeded to prefer symmetric square leaves)
+# semigroup tree search (for targets the grid and layer splits cannot reach;
+# seeded with symmetric square leaves)
 
 
 def _leaf_cert(goal, ceiling, need_square):
@@ -250,19 +240,9 @@ def _leaf_cert(goal, ceiling, need_square):
             return base_generalized_dominance(f1, t)
         s = pt.staircase_fit(pt.size(f1))
         if s[1] == 0 and f1 == pt.staircase(s[0]):
-            cert = base_dominance(s[0], t)
-            if cert is None:
-                cert = base_hook(s[0], t)
+            cert = _staircase_leaf(s[0], t)
             if cert is not None:
                 return cert
-    if t == f1 and pt.has_distinct_rows(t) and pt.dominates(f2, t):
-        inner = base_generalized_dominance(t, f2)
-        if inner is not None:
-            return permute_cert(inner, (2, 1, 0))
-    if t == f2 and pt.has_distinct_rows(t) and pt.dominates(f1, t):
-        inner = base_generalized_dominance(t, f1)
-        if inner is not None:
-            return permute_cert(inner, (1, 0, 2))
     return _oracle_leaf(goal, ceiling)
 
 
@@ -313,42 +293,24 @@ def _v_splits(p, s):
     return list(out)
 
 
-_SPLIT_CACHE = {}
-
-
+@lru_cache(maxsize=_CACHE_SIZE)
 def _coord_splits(p, s, vertical):
     """(piece, complement) for each split of p at size s; the complement is
     None when p minus the piece is not a partition."""
-    key = (p, s, vertical)
-    hit = _SPLIT_CACHE.get(key)
-    if hit is None:
-        pieces = _v_splits(p, s) if vertical else _h_splits(p, s)
-        hit = [(q, _complement(p, q, vertical)) for q in pieces]
-        if len(_SPLIT_CACHE) > 200000:
-            _SPLIT_CACHE.clear()
-        _SPLIT_CACHE[key] = hit
-    return hit
+    pieces = _v_splits(p, s) if vertical else _h_splits(p, s)
+    return [(q, _complement(p, q, vertical)) for q in pieces]
 
 
-_INDEX_CACHE = {}
-
-
+@lru_cache(maxsize=_CACHE_SIZE)
 def _split_index(p, s, vertical):
     """The splits of p at size s that have a complement, in `_coord_splits`
     order, with the rank of each piece and of each complement among them."""
-    key = (p, s, vertical)
-    hit = _INDEX_CACHE.get(key)
-    if hit is None:
-        valid = [pc for pc in _coord_splits(p, s, vertical) if pc[1] is not None]
-        hit = (
-            valid,
-            {q: r for r, (q, _) in enumerate(valid)},
-            {c: r for r, (_, c) in enumerate(valid)},
-        )
-        if len(_INDEX_CACHE) > 200000:
-            _INDEX_CACHE.clear()
-        _INDEX_CACHE[key] = hit
-    return hit
+    valid = [pc for pc in _coord_splits(p, s, vertical) if pc[1] is not None]
+    return (
+        valid,
+        {q: r for r, (q, _) in enumerate(valid)},
+        {c: r for r, (_, c) in enumerate(valid)},
+    )
 
 
 def _complement(p, piece, vertical):
@@ -423,29 +385,26 @@ def _chunk_search(goal, budget, ceiling):
 
 
 
-def _tree_search(goal, budget, ceiling, max_leaves=4):
-    """Semigroup tree of at most max_leaves leaves proving goal, or None.
+def _tree_search(goal, budget, ceiling):
+    """Semigroup tree of at most 4 leaves proving goal, or None.
 
-    The seeded phase looks for trees with a symmetric cube (lam; lam, lam)
-    as one leaf, with 2, 3, ... leaves, each size on its own slice of at
-    most 60,000 nodes.  For each split p0 | c0 of the target, a 2-leaf tree
-    can only pair a cube with one other leaf, so instead of walking every
-    split (p1, p2) of the factors it tries the at most two pairs that
-    complete a cube: p1 == p2 == p0 or c1 == c2 == c0 (`_cube_pairs`).  It
-    still charges one node for each pair the walk would have visited, so a
-    slice ends where it did rather than running on through the costlier
-    nodes of the larger trees.  In every seeded
-    split a one-leaf cube side is tested before the other side.  The
-    general phase then walks every split on whatever budget remains.
+    After the one-leaf tree it only looks for trees with a symmetric cube
+    (lam; lam, lam) as one leaf, with 2, 3 and 4 leaves, each size on its
+    own slice of at most 60,000 nodes.  For each split p0 | c0 of the
+    target, a 2-leaf tree can only pair a cube with one other leaf, so
+    instead of walking every split (p1, p2) of the factors it tries the at
+    most two pairs that complete a cube: p1 == p2 == p0 or c1 == c2 == c0
+    (`_cube_pairs`).  It still charges one node for each pair the walk
+    would have visited, so a slice ends where it did rather than running
+    on through the costlier nodes of the larger trees.  In every seeded
+    split a one-leaf cube side is tested before the other side.
     """
     goal = tuple(tuple(p) for p in goal)
     memo = {}
     cert = _tree(goal, 1, False, budget, ceiling, memo)
     if cert is not None:
         return cert
-    # square-seeded phase, one budget slice per tree size, then the
-    # general phase on whatever budget remains
-    for leaves in range(2, max_leaves + 1):
+    for leaves in (2, 3, 4):
         if budget.exhausted:
             return None
         take = max(1, min(budget.nodes, 60000))
@@ -454,13 +413,6 @@ def _tree_search(goal, budget, ceiling, max_leaves=4):
         budget.spend(take - max(0, seeded.nodes))
         if cert is not None:
             return cert
-    memo = {k: v for k, v in memo.items() if not k[2]}
-    for leaves in range(2, max_leaves + 1):
-        cert = _tree(goal, leaves, False, budget, ceiling, memo)
-        if cert is not None:
-            return cert
-        if budget.exhausted:
-            return None
     return None
 
 
@@ -645,71 +597,67 @@ def _read_cached(path, goal, ceiling):
 
 
 def _prove_into(m, nu, path, ceiling, budget_nodes):
-    """Prove nu inside the square of rho_m and verify the certificate,
-    then cache it at path unless path is None.  None if no proof is found."""
+    """Prove nu inside the square of rho_m, verify the certificate and
+    cache it at path unless path is None.  True when a certificate was
+    found; it proves exactly (nu; rho_m, rho_m), or the prover raises."""
     cert = prove_in_staircase_square(
         m, nu, budget=Budget(budget_nodes), ceiling=ceiling
     )
-    if cert is not None:
-        ok, msg = verify_certificate(cert, ceiling=ceiling)
-        if not ok:
-            raise AssertionError("bad certificate for %s: %s" % (nu, msg))
-        if path is not None:
-            write_cached(path, cert)
-    return cert
+    if cert is None:
+        return False
+    ok, msg = verify_certificate(cert, ceiling=ceiling)
+    if not ok:
+        raise AssertionError("bad certificate for %s: %s" % (nu, msg))
+    if path is not None:
+        write_cached(path, cert)
+    return True
 
 
 def verify_saxl(m, cache_dir=None, ceiling=ch.DEFAULT_ORACLE_CEILING,
                 budget_nodes=DEFAULT_NODE_BUDGET, progress=False, threads=1):
     """Prove every partition of m(m+1)/2 inside the staircase square.
 
-    Returns a report dict; certificates are verified before being counted
-    or cached as JSON files when a cache directory is given.  With a cache
-    and threads > 1, a pool of that many processes first proves the
-    targets that have no cache file; the report is then aggregated in this
-    process from the cache, so it does not depend on the thread count.
+    Returns a report dict.  With a cache directory, every target's cached
+    certificate is read and verified first.  The targets it does not prove
+    are then proved, verified and cached (when a cache is given) by
+    `_prove_into`, in a pool of `threads` processes when threads > 1, and
+    counted here in target order, so the report does not depend on the
+    thread count.
     """
     n = pt.triangular(m)
     rho = pt.staircase(m)
     targets = pt.partitions_of(n)
-    total = len(targets)
-    proved = 0
-    failures = []
+    paths = [None] * len(targets)
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
-    if cache_dir is not None and threads > 1:
-        # the targets with no cache file are proved into it by the pool
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
+        paths = [cache_path(cache_dir, m, nu) for nu in targets]
+    proved = [
+        path is not None and _read_cached(path, (nu, rho, rho), ceiling) is not None
+        for nu, path in zip(targets, paths)
+    ]
+    todo = [i for i, ok in enumerate(proved) if not ok]
+    jobs = (repeat(m), [targets[i] for i in todo], [paths[i] for i in todo],
+            repeat(ceiling), repeat(budget_nodes))
+    with ExitStack() as stack:
+        run = map
+        if threads > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
 
-        todo = [nu for nu in targets
-                if not os.path.exists(cache_path(cache_dir, m, nu))]
-        paths = [cache_path(cache_dir, m, nu) for nu in todo]
-        with ProcessPoolExecutor(threads, mp_context=get_context("spawn")) as pool:
-            jobs = pool.map(_prove_into, repeat(m), todo, paths, repeat(ceiling),
-                            repeat(budget_nodes), chunksize=16)
-            for done, _ in enumerate(jobs, 1):
-                if progress and done % 1000 == 0:
-                    print("saxl m=%d: %d/%d" % (m, done, len(todo)), file=sys.stderr)
-    for done, nu in enumerate(targets, 1):
-        cert = path = None
-        if cache_dir is not None:
-            path = cache_path(cache_dir, m, nu)
-            cert = _read_cached(path, (nu, rho, rho), ceiling)
-        if cert is None:
-            cert = _prove_into(m, nu, path, ceiling, budget_nodes)
-        if cert is None:
-            failures.append(nu)
-        else:
-            proved += 1
-        if progress and done % 2000 == 0:
-            print("saxl m=%d: %d/%d" % (m, done, total), file=sys.stderr)
+            pool = stack.enter_context(
+                ProcessPoolExecutor(threads, mp_context=get_context("spawn")))
+            run = partial(pool.map, chunksize=16)
+        for done, (i, ok) in enumerate(zip(todo, run(_prove_into, *jobs)), 1):
+            proved[i] = ok
+            if progress and done % 1000 == 0:
+                print("saxl m=%d: %d/%d" % (m, done, len(todo)), file=sys.stderr)
+    failures = [pt.format_partition(nu) for nu, ok in zip(targets, proved) if not ok]
     return {
         "m": m,
         "size": n,
-        "total": total,
-        "proved": proved,
-        "failed": [pt.format_partition(f) for f in failures],
+        "total": len(targets),
+        "proved": len(targets) - len(failures),
+        "failed": failures,
         "complete": not failures,
     }
 

@@ -8,6 +8,7 @@ from itertools import accumulate, chain, repeat, starmap, zip_longest
 from operator import add, ge, sub
 
 from . import characters
+from .certificates import Certificate
 
 
 def _is_partition(p):
@@ -74,6 +75,8 @@ class VerificationFailure(Exception):
 
 def verify_certificate(cert, ceiling=characters.DEFAULT_ORACLE_CEILING):
     """Walk the tree and re-check every rule.  Returns (ok, message)."""
+    if not isinstance(cert, Certificate):
+        return False, "the root is a %s, not a certificate" % type(cert).__name__
     try:
         _verify(cert, ceiling, 0, {})
     except VerificationFailure as e:

@@ -31,8 +31,7 @@ CACHE = os.environ.get("KRONWORK_CACHE", "/root/cache")
 
 
 def saxl_cache(m):
-    d = os.path.join(CACHE, "saxl%d" % m)
-    return d if os.path.isdir(d) else os.path.join(CACHE, "saxl%d" % m)
+    return os.path.join(CACHE, "saxl%d" % m)
 
 
 def oracle_positive(goal):

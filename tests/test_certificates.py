@@ -83,11 +83,22 @@ def test_conjugate_cert_even_coords():
         ct.conjugate_cert(a, (1,))
 
 
-def test_permute_cert():
+def test_verifier_accepts_a_hand_built_permute():
+    # no builder makes Permute nodes, but the verifier still accepts them
     a = ct.base_oracle(((3,), (2, 1), (2, 1)))
-    c = ct.permute_cert(a, (1, 0, 2))
-    assert c.goal == ((2, 1), (3,), (2, 1))
-    assert verify_certificate(c)[0]
+    c = ct.Certificate("Permute", ((2, 1), (3,), (2, 1)), (a,), {"perm": [1, 0, 2]})
+    assert verify_certificate(c) == (True, "ok")
+    wrong = ct.Certificate("Permute", a.goal, (a,), {"perm": [1, 0, 2]})
+    assert not verify_certificate(wrong)[0]
+
+
+@pytest.mark.parametrize("root", [
+    5, None, "OracleLeaf", ct.base_oracle(((2, 1), (2, 1), (2, 1))).to_dict(),
+], ids=["int", "none", "str", "dict"])
+def test_verifier_rejects_a_root_that_is_not_a_certificate(root):
+    # each of these used to raise AttributeError on `.goal`
+    ok, msg = verify_certificate(root)
+    assert not ok and "not a certificate" in msg
 
 
 def test_json_round_trip():

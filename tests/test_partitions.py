@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +21,15 @@ def test_check_partition_rejects_bad_input():
     with pytest.raises(ValueError):
         pt.check_partition((1, 2))
     assert pt.check_partition((2, 0)) == (2,)
+
+
+def test_from_columns_reads_shuffled_column_heights():
+    rng = random.Random(7)
+    for n in range(13):
+        for lam in pt.partitions_of(n):
+            cols = list(pt.conjugate(lam))
+            rng.shuffle(cols)
+            assert pt.from_columns(cols) == lam, cols
 
 
 @given(partitions())

@@ -1,4 +1,5 @@
 import os
+from concurrent import futures
 
 import pytest
 
@@ -144,6 +145,22 @@ def test_folded_recipes_match_the_hand_written_joins():
     assert layers > 100
 
 
+def test_layer_search_never_repeats_the_grid(monkeypatch):
+    # the k = 2 layer split is the grid split, in order for even m and with
+    # its two rows swapped for odd m: packing it reran a failed search
+    seen = []
+    monkeypatch.setattr(prover, "_pack_search",
+                        lambda m, nu, recipe, *rest: seen.append((m, recipe)))
+    for m in range(2, 41):
+        nu = (pt.triangular(m),)
+        prover._layer_search(m, nu, Budget(), ch.DEFAULT_ORACLE_CEILING, 2)
+    assert {m for m, _ in seen} == set(range(2, 41))
+    for m, recipe in seen:
+        grid = pt.recipe_sides(pt.stair_grid(m, 2))
+        sides = pt.recipe_sides(recipe)
+        assert sides not in (grid, grid[2:] + grid[:2]), (m, sides)
+
+
 def test_budget_stops_search():
     cert = prove_in_staircase_square(5, (9, 3, 1, 1, 1), budget=Budget(0))
     # with no budget only the cheap direct leaves are available
@@ -201,6 +218,25 @@ def _cached_goals(cache):
         with open(os.path.join(cache, name)) as fh:
             goals[name] = Certificate.from_json(fh.read()).goal
     return goals
+
+
+def test_verify_saxl_runs_the_pool_without_a_cache(monkeypatch):
+    # with neither search nor oracle some m=4 targets fail, so the report
+    # also shows that the pool's results are counted in target order
+    pools = []
+
+    class Spy(futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", Spy)
+    weak = dict(ceiling=0, budget_nodes=0)
+    serial = verify_saxl(4, **weak)
+    assert not serial["complete"] and serial["proved"] > 0
+    assert pools == []
+    assert verify_saxl(4, threads=2, **weak) == serial
+    assert pools == [(2,)]
 
 
 def test_verify_saxl_creates_the_cache_directory_once(tmp_path, monkeypatch):
