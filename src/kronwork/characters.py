@@ -9,7 +9,7 @@ import math
 import operator
 from functools import lru_cache
 
-from .partitions import partitions_of, size
+from .partitions import conjugate, partitions_of, size
 
 DEFAULT_ORACLE_CEILING = 14
 
@@ -87,20 +87,13 @@ def character(lam, rho):
 
 def dimension(lam):
     """Hook length formula, exact."""
-    n = size(lam)
-    if n == 0:
-        return 1
-    conj = {}
-    cols = [0] * (lam[0] + 1)
-    for r in lam:
-        for j in range(r):
-            cols[j] += 1
+    cols = conjugate(lam)
     denom = 1
     for i, r in enumerate(lam):
         for j in range(r):
             hook = (r - j) + (cols[j] - i) - 1
             denom *= hook
-    return math.factorial(n) // denom
+    return math.factorial(size(lam)) // denom
 
 
 @lru_cache(maxsize=None)
@@ -166,24 +159,19 @@ def tensor_square_support(lam, ceiling=DEFAULT_ORACLE_CEILING):
 def permutation_module_support(lam, ceiling=DEFAULT_ORACLE_CEILING):
     """Support of the natural permutation character tensored with lam.
 
-    The n-dimensional permutation representation has character equal to the
-    number of fixed points; used as the one-box-move cross-check.
+    The n-dimensional permutation representation is the trivial one plus
+    (n-1, 1), so the support is lam and the mu with g(lam, (n-1, 1), mu) > 0
+    (empty for n = 0); used as the one-box-move cross-check.
     """
     n = size(lam)
     if ceiling is not None and n > ceiling:
         raise OracleCeilingError("oracle ceiling exceeded")
-    fact = math.factorial(n)
-    weights = [
-        c * rho.count(1) * x
-        for c, rho, x in zip(_class_sizes(n), partitions_of(n), _char_row(lam))
-    ]
-    out = set()
-    for mu in partitions_of(n):
-        total = sum(w * y for w, y in zip(weights, _char_row(mu)))
-        assert total % fact == 0
-        if total // fact > 0:
-            out.add(mu)
-    return frozenset(out)
+    if n == 0:
+        return frozenset()
+    others = partitions_of(n) if n > 1 else ()
+    return frozenset([tuple(lam)]).union(
+        mu for mu in others if kronecker(lam, (n - 1, 1), mu, ceiling) > 0
+    )
 
 
 def saxl_exception_scan(n, ceiling=DEFAULT_ORACLE_CEILING):

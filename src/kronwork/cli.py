@@ -50,23 +50,21 @@ def _emit(doc, fmt):
             print("%s: %s" % (k, v))
 
 
-def _partition(text):
-    return pt.parse_partition(text)
-
-
-def _add_common(sub):
+def _add_common(sub, oracle=True):
+    """--format, and --oracle-ceiling for the commands that use the oracle."""
     sub.add_argument("--format", choices=("json", "text"), default="json")
-    sub.add_argument("--oracle-ceiling", type=int, default=ch.DEFAULT_ORACLE_CEILING)
+    if oracle:
+        sub.add_argument("--oracle-ceiling", type=int, default=ch.DEFAULT_ORACLE_CEILING)
 
 
 def _cmd_kron(args):
     factors = []
     if args.factors:
-        factors = [_partition(t) for t in args.factors.split(";")]
+        factors = [pt.parse_partition(t) for t in args.factors.split(";")]
     else:
         for t in (args.lam, args.mu, args.nu):
             if t:
-                factors.append(_partition(t))
+                factors.append(pt.parse_partition(t))
     if len(factors) < 2:
         raise SystemExit("kron needs at least two partitions")
     coeff = ch.multi_kronecker(tuple(factors), ceiling=args.oracle_ceiling)
@@ -77,7 +75,7 @@ def _cmd_kron(args):
 
 
 def _cmd_support(args):
-    lam = _partition(args.lam)
+    lam = pt.parse_partition(args.lam)
     supp = ch.tensor_square_support(lam, ceiling=args.oracle_ceiling)
     return {
         "lambda": pt.format_partition(lam),
@@ -88,7 +86,7 @@ def _cmd_support(args):
 
 
 def _cmd_prove(args):
-    nu = _partition(args.nu)
+    nu = pt.parse_partition(args.nu)
     cert = prove_in_staircase_square(
         args.m, nu, budget=Budget(args.budget), ceiling=args.oracle_ceiling
     )
@@ -208,8 +206,8 @@ def _cmd_experiment(args):
 
 
 def _cmd_distance(args):
-    lam = _partition(args.lam)
-    mu = _partition(args.mu)
+    lam = pt.parse_partition(args.lam)
+    mu = pt.parse_partition(args.mu)
     trace = pt.move_trace(lam, mu)
     return {
         "lambda": pt.format_partition(lam),
@@ -271,7 +269,7 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--i", type=int)
     p.add_argument("--smooth", action="store_true")
-    _add_common(p)
+    _add_common(p, oracle=False)
     p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("sample", help="draw seeded random partitions")
@@ -279,7 +277,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
+    _add_common(p, oracle=False)
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("experiment", help="aggregate statistics experiments")
@@ -295,13 +293,13 @@ def build_parser():
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fallback", action="store_true")
-    _add_common(p)
+    _add_common(p, oracle=False)
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("distance", help="blockwise distance and move trace")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
-    _add_common(p)
+    _add_common(p, oracle=False)
     p.set_defaults(fn=_cmd_distance)
 
     p = sub.add_parser("exceptions", help="tensor square coverage scan")

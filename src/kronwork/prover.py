@@ -4,7 +4,7 @@ import os
 import sys
 from contextlib import ExitStack
 from functools import lru_cache, partial
-from itertools import groupby, repeat
+from itertools import groupby, repeat, zip_longest
 
 from . import partitions as pt
 from . import characters as ch
@@ -27,6 +27,9 @@ DEFAULT_NODE_BUDGET = 100000
 
 # entries kept by each search cache (oracle leaves, splits, split indexes)
 _CACHE_SIZE = 200000
+
+# targets handed to a saxl pool worker at a time
+_CHUNK = 16
 
 
 class Budget:
@@ -65,12 +68,12 @@ def prove_in_staircase_square(m, nu, budget=None, ceiling=ch.DEFAULT_ORACLE_CEIL
     """Find a certificate for (nu; rho_m, rho_m), or None.
 
     Search order: the dominance and hook leaves; packing the columns of
-    nu, with backtracking, into the pieces of the 2x2 grid split and then
-    of the k = 3, 4 layer splits, proving stubborn pieces recursively; a
-    conjugate retry, which runs this whole search on the conjugate of nu;
-    the tree search, seeded with symmetric cubes; the chunk search, which
-    peels oracle-sized pieces off all three coordinates; and finally the
-    oracle when the size is small.
+    nu, with backtracking, into the pieces of each split of
+    `_split_recipes`, proving stubborn pieces recursively; a conjugate
+    retry, which runs this whole search on the conjugate of nu; the
+    oracle, when the size is at most the ceiling; the tree search, seeded
+    with symmetric cubes; and the chunk search, which peels oracle-sized
+    pieces off all three coordinates.
     """
     nu = pt.check_partition(nu)
     if pt.size(nu) != pt.triangular(m):
@@ -89,58 +92,48 @@ def _prove(m, nu, budget, ceiling, depth, allow_flip):
     cert = _staircase_leaf(m, nu)
     if cert is not None:
         return cert
-    if m >= 2:
-        cert = _grid_search(m, nu, budget, ceiling, depth)
+    for recipe in _split_recipes(m):
+        cert = _pack_search(m, nu, recipe, budget, ceiling, depth)
         if cert is not None:
             return cert
-        cert = _layer_search(m, nu, budget, ceiling, depth)
-        if cert is not None:
-            return cert
+        if budget.exhausted:
+            break
     if allow_flip:
         flipped = _prove(m, pt.conjugate(nu), budget, ceiling, depth, False)
         if flipped is not None:
             return conjugate_cert(flipped, (0, 1))
     rho = pt.staircase(m)
+    goal = (nu, rho, rho)
+    cert = _oracle_leaf(goal, ceiling)
+    if cert is not None:
+        return cert
     if depth > 0 and not budget.exhausted:
-        cert = _tree_search((nu, rho, rho), budget, ceiling)
+        cert = _tree_search(goal, budget, ceiling)
         if cert is not None:
             return cert
     if depth >= 2:
-        cert = _chunk_search((nu, rho, rho), Budget(60000), ceiling)
-        if cert is not None:
-            return cert
-    return _oracle_leaf((nu, rho, rho), ceiling)
+        return _chunk_search(goal, Budget(60000), ceiling)
+    return None
 
 
 # ---------------------------------------------------------------------------
 # grid and layer splits: pack the columns of nu into the pieces of a recipe
 
 
-def _grid_search(m, nu, budget, ceiling, depth):
-    return _pack_search(m, nu, pt.stair_grid(m, 2), budget, ceiling, depth)
-
-
-def _layer_search(m, nu, budget, ceiling, depth):
-    """Pack columns of nu into the pieces of a staircase layer split.
-
-    Only k = 3 and 4: for every m the k = 2 split is the grid split itself,
-    in order or with its two rows swapped, which `_grid_search` has tried.
-    """
+def _split_recipes(m):
+    """The splits of rho_m the pack search tries, in order: the 2x2 grid,
+    then the k = 3, 4 layer splits.  For every m the k = 2 layer split is
+    the grid itself, in order or with its two rows swapped, so it is not
+    repeated."""
+    if m < 2:
+        return
+    yield pt.stair_grid(m, 2)
     for k in (3, 4):
         for part in (1, 2):
             step = pt.layer_sides(m, k, part)
-            if step is None:
-                continue
-            x, y, zs = step
-            if x >= m or x < 1:
-                continue
-            recipe = pt.layer_step(("stair", x), k, y, zs)
-            cert = _pack_search(m, nu, recipe, budget, ceiling, depth)
-            if cert is not None:
-                return cert
-            if budget.exhausted:
-                return None
-    return None
+            if step is not None and 1 <= step[0] < m:
+                x, y, zs = step
+                yield pt.layer_step(("stair", x), k, y, zs)
 
 
 def _pack_search(m, nu, recipe, budget, ceiling, depth):
@@ -148,16 +141,9 @@ def _pack_search(m, nu, recipe, budget, ceiling, depth):
     caps = [pt.triangular(s) for s in flat]
     cols = list(pt.conjugate(nu))
     bins = [[] for _ in flat]
-    remaining = [c for c in caps]
+    remaining = list(caps)
     failed = set()
     stash = []
-
-    def build(certs):
-        cert = fold_certs(recipe, certs)
-        rho = pt.staircase(m)
-        if cert.goal != (nu, rho, rho):
-            raise AssertionError("pack assembly mismatch")
-        return cert
 
     def finish(bins, recurse):
         lams = [pt.from_columns(b) for b in bins]
@@ -180,7 +166,11 @@ def _pack_search(m, nu, recipe, budget, ceiling, depth):
             if sub is None:
                 return None
             certs[b] = sub
-        return build(certs)
+        cert = fold_certs(recipe, certs)
+        rho = pt.staircase(m)
+        if cert.goal != (nu, rho, rho):
+            raise AssertionError("pack assembly mismatch")
+        return cert
 
     def rec(idx):
         if not budget.spend():
@@ -236,18 +226,22 @@ def _leaf_cert(goal, ceiling, need_square):
     if need_square:
         return None
     if f1 == f2:
-        if pt.has_distinct_rows(f1) and pt.dominates(t, f1):
-            return base_generalized_dominance(f1, t)
-        s = pt.staircase_fit(pt.size(f1))
-        if s[1] == 0 and f1 == pt.staircase(s[0]):
-            cert = _staircase_leaf(s[0], t)
-            if cert is not None:
-                return cert
+        cert = base_generalized_dominance(f1, t)
+        if cert is None and f1 == pt.staircase(len(f1)):
+            cert = _staircase_leaf(len(f1), t)
+        if cert is not None:
+            return cert
     return _oracle_leaf(goal, ceiling)
 
 
 def _h_splits(p, s):
-    """Partitions mu of size s with both mu and p - mu valid rowwise."""
+    """Partitions mu of size s, no longer than p and at most p row by row,
+    whose rowwise remainder p - mu is a partition with first row at most s.
+
+    That bound drops some horizontal splits: `_h_splits((3,), 1)` is empty.
+    Lifting it to p's first row changed some m = 8 certificates and made
+    the pipeline about ten times slower, so the searches keep it.
+    """
     out = []
     rows = list(p)
 
@@ -295,25 +289,26 @@ def _v_splits(p, s):
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _coord_splits(p, s, vertical):
-    """(piece, complement) for each split of p at size s; the complement is
-    None when p minus the piece is not a partition."""
+    """(piece, complement) for each split of p at size s."""
     pieces = _v_splits(p, s) if vertical else _h_splits(p, s)
     return [(q, _complement(p, q, vertical)) for q in pieces]
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _split_index(p, s, vertical):
-    """The splits of p at size s that have a complement, in `_coord_splits`
-    order, with the rank of each piece and of each complement among them."""
-    valid = [pc for pc in _coord_splits(p, s, vertical) if pc[1] is not None]
+    """The splits of p at size s, in `_coord_splits` order, with the rank of
+    each piece and of each complement among them."""
+    splits = _coord_splits(p, s, vertical)
     return (
-        valid,
-        {q: r for r, (q, _) in enumerate(valid)},
-        {c: r for r, (_, c) in enumerate(valid)},
+        splits,
+        {q: r for r, (q, _) in enumerate(splits)},
+        {c: r for r, (_, c) in enumerate(splits)},
     )
 
 
 def _complement(p, piece, vertical):
+    """p minus piece, rowwise or as a row multiset, or None when that is not
+    a partition (only a peeled square can fail to fit)."""
     if vertical:
         rest = list(p)
         try:
@@ -324,13 +319,8 @@ def _complement(p, piece, vertical):
         return pt.from_rows(rest)
     if len(piece) > len(p):
         return None
-    rows = []
-    piece = list(piece) + [0] * (len(p) - len(piece))
-    for a, b in zip(p, piece):
-        if b > a:
-            return None
-        rows.append(a - b)
-    if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
+    rows = [a - b for a, b in zip_longest(p, piece, fillvalue=0)]
+    if min(rows, default=0) < 0 or any(a < b for a, b in zip(rows, rows[1:])):
         return None
     return tuple(x for x in rows if x > 0)
 
@@ -338,7 +328,8 @@ def _complement(p, piece, vertical):
 _VERTICAL_PATTERNS = ((), (0, 1), (0, 2), (1, 2))
 
 def _chunk_search(goal, budget, ceiling):
-    """Peel oracle-sized pieces off all three coordinates, biggest first."""
+    """Peel oracle-sized pieces off all three coordinates, biggest first,
+    over the triple splits of `_walk_pairs`."""
     memo = set()
 
     def rec(goal):
@@ -351,44 +342,39 @@ def _chunk_search(goal, budget, ceiling):
             vflags = [c in vertical for c in range(3)]
             for t in range(min(ceiling, n - 1), 0, -1):
                 for p0, c0 in _coord_splits(goal[0], t, vflags[0]):
-                    if c0 is None:
-                        continue
-                    for p1, c1 in _coord_splits(goal[1], t, vflags[1]):
-                        if c1 is None:
+                    for piece, rest in _walk_pairs(goal, t, vflags, p0, c0, budget):
+                        _, p1, p2 = piece
+                        # one-row and one-column pieces pair up by the
+                        # trivial and sign characters, skip the oracle
+                        if p0 == (t,):
+                            if p1 != p2:
+                                continue
+                        elif t > 1 and p0 == (1,) * t:
+                            if p2 != pt.conjugate(p1):
+                                continue
+                        leaf = _oracle_leaf(piece, ceiling)
+                        if leaf is None:
                             continue
-                        for p2, c2 in _coord_splits(goal[2], t, vflags[2]):
-                            if not budget.spend():
-                                return None
-                            # one-row and one-column pieces pair up by the
-                            # trivial and sign characters, skip the oracle
-                            if p0 == (t,):
-                                if p1 != p2:
-                                    continue
-                            elif t > 1 and p0 == (1,) * t:
-                                if p2 != pt.conjugate(p1):
-                                    continue
-                            if c2 is None:
-                                continue
-                            leaf = _oracle_leaf((p0, p1, p2), ceiling)
-                            if leaf is None:
-                                continue
-                            tail = rec((c0, c1, c2))
-                            if tail is not None:
-                                cert = combine_vvh(leaf, tail, vertical)
-                                if cert.goal != goal:
-                                    raise AssertionError("chunk assembly mismatch")
-                                return cert
+                        tail = rec(rest)
+                        if tail is not None:
+                            cert = combine_vvh(leaf, tail, vertical)
+                            if cert.goal != goal:
+                                raise AssertionError("chunk assembly mismatch")
+                            return cert
+                    if budget.exhausted:
+                        return None
         memo.add(goal)
         return None
 
-    return rec(tuple(tuple(p) for p in goal))
-
+    return rec(goal)
 
 
 def _tree_search(goal, budget, ceiling):
-    """Semigroup tree of at most 4 leaves proving goal, or None.
+    """Semigroup tree of 2, 3 or 4 leaves proving goal, or None.
 
-    After the one-leaf tree it only looks for trees with a symmetric cube
+    `_prove` runs it after its leaves, the pack searches, the conjugate
+    retry and the oracle, and before the chunk search.  Those have tried
+    every one-leaf tree, so it only looks for trees with a symmetric cube
     (lam; lam, lam) as one leaf, with 2, 3 and 4 leaves, each size on its
     own slice of at most 60,000 nodes.  For each split p0 | c0 of the
     target, a 2-leaf tree can only pair a cube with one other leaf, so
@@ -399,11 +385,7 @@ def _tree_search(goal, budget, ceiling):
     on through the costlier nodes of the larger trees.  In every seeded
     split a one-leaf cube side is tested before the other side.
     """
-    goal = tuple(tuple(p) for p in goal)
     memo = {}
-    cert = _tree(goal, 1, False, budget, ceiling, memo)
-    if cert is not None:
-        return cert
     for leaves in (2, 3, 4):
         if budget.exhausted:
             return None
@@ -435,12 +417,7 @@ def _tree(goal, leaves, need_square, budget, ceiling, memo):
     for vertical in _VERTICAL_PATTERNS:
         vflags = [c in vertical for c in range(3)]
         for s in range(1, n):
-            first = _coord_splits(goal[0], s, vflags[0])
-            if not first:
-                continue
-            for p0, c0 in first:
-                if c0 is None:
-                    continue
+            for p0, c0 in _coord_splits(goal[0], s, vflags[0]):
                 ok = _expand_factors(
                     goal, s, vflags, p0, c0, leaves, need_square, budget, ceiling, memo
                 )
@@ -515,11 +492,7 @@ def _walk_pairs(goal, s, vflags, p0, c0, budget):
     """Every (left, right) pair of triples that extends the split p0 | c0,
     one node each."""
     for p1, c1 in _coord_splits(goal[1], s, vflags[1]):
-        if c1 is None:
-            continue
         for p2, c2 in _coord_splits(goal[2], s, vflags[2]):
-            if c2 is None:
-                continue
             if not budget.spend():
                 return
             yield (p0, p1, p2), (c0, c1, c2)
@@ -534,8 +507,8 @@ def _cube_pairs(goal, s, vflags, p0, c0, budget):
     charged as the walk would be: up to and including each pair yielded,
     and through to the walk's end when none of them succeeds.
     """
-    valid1, pieces1, rests1 = _split_index(goal[1], s, vflags[1])
-    valid2, pieces2, rests2 = _split_index(goal[2], s, vflags[2])
+    splits1, pieces1, rests1 = _split_index(goal[1], s, vflags[1])
+    splits2, pieces2, rests2 = _split_index(goal[2], s, vflags[2])
     ranks = set()
     if p0 in pieces1 and p0 in pieces2 and pt.is_symmetric(p0):
         ranks.add((pieces1[p0], pieces2[p0]))
@@ -543,13 +516,13 @@ def _cube_pairs(goal, s, vflags, p0, c0, budget):
         ranks.add((rests1[c0], rests2[c0]))
     charged = 0
     for r1, r2 in sorted(ranks):
-        walked = r1 * len(valid2) + r2 + 1
+        walked = r1 * len(splits2) + r2 + 1
         if not budget.spend(walked - charged):
             return
         charged = walked
-        (p1, c1), (p2, c2) = valid1[r1], valid2[r2]
+        (p1, c1), (p2, c2) = splits1[r1], splits2[r2]
         yield (p0, p1, p2), (c0, c1, c2)
-    budget.spend(len(valid1) * len(valid2) - charged)
+    budget.spend(len(splits1) * len(splits2) - charged)
 
 
 # ---------------------------------------------------------------------------
@@ -620,9 +593,10 @@ def verify_saxl(m, cache_dir=None, ceiling=ch.DEFAULT_ORACLE_CEILING,
     Returns a report dict.  With a cache directory, every target's cached
     certificate is read and verified first.  The targets it does not prove
     are then proved, verified and cached (when a cache is given) by
-    `_prove_into`, in a pool of `threads` processes when threads > 1, and
-    counted here in target order, so the report does not depend on the
-    thread count.
+    `_prove_into`, in a pool of at most `threads` processes and at most one
+    per `_CHUNK` misses, or in this process when that is one, and counted
+    here in target order, so the report does not depend on the thread
+    count.
     """
     n = pt.triangular(m)
     rho = pt.staircase(m)
@@ -638,15 +612,16 @@ def verify_saxl(m, cache_dir=None, ceiling=ch.DEFAULT_ORACLE_CEILING,
     todo = [i for i, ok in enumerate(proved) if not ok]
     jobs = (repeat(m), [targets[i] for i in todo], [paths[i] for i in todo],
             repeat(ceiling), repeat(budget_nodes))
+    workers = min(threads, -(-len(todo) // _CHUNK))
     with ExitStack() as stack:
         run = map
-        if threads > 1:
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
             from multiprocessing import get_context
 
             pool = stack.enter_context(
-                ProcessPoolExecutor(threads, mp_context=get_context("spawn")))
-            run = partial(pool.map, chunksize=16)
+                ProcessPoolExecutor(workers, mp_context=get_context("spawn")))
+            run = partial(pool.map, chunksize=_CHUNK)
         for done, (i, ok) in enumerate(zip(todo, run(_prove_into, *jobs)), 1):
             proved[i] = ok
             if progress and done % 1000 == 0:

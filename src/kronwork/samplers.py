@@ -154,7 +154,7 @@ def limit_shape_eval(shape, x):
 
 def russian_profile(lam, u):
     """Rotated boundary profile of lam at integer or real u, unscaled."""
-    return u + 2 * sum(1 for i, r in enumerate(lam) if r - (i + 1) >= u)
+    return u + 2 * descent_tail_count(lam, u)
 
 
 def rescaled_sup_distance(lam, shape):

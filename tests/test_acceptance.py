@@ -363,11 +363,15 @@ def test_pipeline_batches(n):
 
 
 def test_pipeline_membership_small():
-    # at tiny triangular sizes, replay the move trace through the
-    # one-box expansion and confirm nu really sits d steps from nu_hat
-    for n in (3, 6, 10):
+    # at every small size, triangular or with a leftover row, replay the
+    # move trace through the one-box expansion and confirm nu really sits
+    # d steps from nu_hat
+    for n in range(1, 13):
+        xi = pt.irregular_staircase(n)
         for nu in pt.partitions_of(n):
             out = decomp.fourth_power_pipeline(nu)
+            assert out["certificate"].goal[1:] == (xi, xi), nu
+            assert verify_certificate(out["certificate"])[0], nu
             reach = {out["nu_hat"]}
             for _ in range(out["d"]):
                 reach = set().union(*(ch.permutation_module_support(s) for s in reach))

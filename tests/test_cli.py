@@ -134,6 +134,14 @@ def test_sample_deterministic(capsys):
     assert doc == doc2
 
 
+def test_oracle_ceiling_only_where_the_oracle_runs(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.dispatch(["sample", "--measure", "uniform", "--n", "5", "--oracle-ceiling", "3"])
+    assert exc.value.code == 2
+    code, doc = run(capsys, "kron", "--factors", "2,1;2,1;2,1", "--oracle-ceiling", "3")
+    assert code == 0 and doc["coefficient"] == "1"
+
+
 def test_experiment_flexibility(capsys):
     code, doc = run(
         capsys, "experiment", "--kind", "flexibility", "--n", "100", "--samples", "50"

@@ -145,20 +145,32 @@ def test_folded_recipes_match_the_hand_written_joins():
     assert layers > 100
 
 
-def test_layer_search_never_repeats_the_grid(monkeypatch):
+def test_layer_search_never_repeats_the_grid():
     # the k = 2 layer split is the grid split, in order for even m and with
     # its two rows swapped for odd m: packing it reran a failed search
-    seen = []
-    monkeypatch.setattr(prover, "_pack_search",
-                        lambda m, nu, recipe, *rest: seen.append((m, recipe)))
+    assert list(prover._split_recipes(1)) == []
     for m in range(2, 41):
-        nu = (pt.triangular(m),)
-        prover._layer_search(m, nu, Budget(), ch.DEFAULT_ORACLE_CEILING, 2)
-    assert {m for m, _ in seen} == set(range(2, 41))
-    for m, recipe in seen:
-        grid = pt.recipe_sides(pt.stair_grid(m, 2))
-        sides = pt.recipe_sides(recipe)
-        assert sides not in (grid, grid[2:] + grid[:2]), (m, sides)
+        grid, *layers = prover._split_recipes(m)
+        assert grid == pt.stair_grid(m, 2)
+        assert layers, m
+        grid = pt.recipe_sides(grid)
+        for recipe in layers:
+            sides = pt.recipe_sides(recipe)
+            assert sides not in (grid, grid[2:] + grid[:2]), (m, sides)
+
+
+def test_small_targets_need_neither_tree_nor_chunk_search(monkeypatch):
+    # up to m = 4 the leaves, the pack searches and the oracle, which now
+    # runs before any tree, prove every target
+    def fail(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(prover, "_tree_search", fail)
+    monkeypatch.setattr(prover, "_chunk_search", fail)
+    for m in range(1, 5):
+        for nu in pt.partitions_of(pt.triangular(m)):
+            cert = prove_in_staircase_square(m, nu)
+            assert cert is not None and verify_certificate(cert)[0], nu
 
 
 def test_budget_stops_search():
@@ -237,6 +249,15 @@ def test_verify_saxl_runs_the_pool_without_a_cache(monkeypatch):
     assert pools == []
     assert verify_saxl(4, threads=2, **weak) == serial
     assert pools == [(2,)]
+
+
+def test_verify_saxl_proves_one_chunk_of_misses_without_a_pool(monkeypatch):
+    # the 11 targets of m = 3 fill less than one chunk of a pool worker
+    pools = []
+    monkeypatch.setattr(futures, "ProcessPoolExecutor",
+                        lambda *args, **kwargs: pools.append(args))
+    assert verify_saxl(3, threads=2) == verify_saxl(3)
+    assert pools == []
 
 
 def test_verify_saxl_creates_the_cache_directory_once(tmp_path, monkeypatch):
@@ -356,13 +377,32 @@ def test_v_splits_match_the_subset_walk_in_order():
                 assert _v_splits(p, s) == _v_splits_by_subsets(p, s), (p, s)
 
 
+def _h_splits_by_brute_force(p, s):
+    """Reference for `_h_splits`: every partition mu of s, in
+    `partitions_of` order, that fits inside p row by row and leaves a
+    partition whose first row is at most s."""
+    out = []
+    for mu in pt.partitions_of(s):
+        if len(mu) > len(p) or any(b > a for a, b in zip(p, mu)):
+            continue
+        rest = [a - b for a, b in zip(p, mu + (0,) * len(p))]
+        if all(a >= b for a, b in zip(rest, rest[1:])) and rest[0] <= s:
+            out.append(mu)
+    return out
+
+
 def test_coord_splits_pair_each_piece_with_its_complement():
+    # no complement is None: the searches walk the splits without checking;
+    # horizontal splits leave a remainder whose first row is at most s
+    assert _h_splits((3,), 1) == []
     for n in range(1, 13):
         for p in pt.partitions_of(n):
             for s in range(1, n):
-                for vertical, ref in ((True, _v_splits_by_subsets), (False, _h_splits)):
+                for vertical, ref in ((True, _v_splits_by_subsets),
+                                      (False, _h_splits_by_brute_force)):
                     want = [(q, _complement(p, q, vertical)) for q in ref(p, s)]
                     assert _coord_splits(p, s, vertical) == want, (p, s, vertical)
+                    assert all(c is not None for _, c in want), (p, s, vertical)
 
 
 def _walk_expand_factors(goal, s, vflags, p0, c0, leaves, need_square, budget, ceiling, memo):
@@ -370,11 +410,7 @@ def _walk_expand_factors(goal, s, vflags, p0, c0, leaves, need_square, budget, c
     pair that extends the split p0 | c0, one node each, every side
     evaluated left first."""
     for p1, c1 in _coord_splits(goal[1], s, vflags[1]):
-        if c1 is None:
-            continue
         for p2, c2 in _coord_splits(goal[2], s, vflags[2]):
-            if c2 is None:
-                continue
             if not budget.spend():
                 return None
             left = (p0, p1, p2)
@@ -415,8 +451,7 @@ def _first_splits(goal):
         vflags = [c in vertical for c in range(3)]
         for s in range(1, n):
             for p0, c0 in _coord_splits(goal[0], s, vflags[0]):
-                if c0 is not None:
-                    yield s, vflags, p0, c0
+                yield s, vflags, p0, c0
 
 
 @pytest.mark.parametrize("leaves", [2, 3])
