@@ -2,8 +2,8 @@
 
 A certificate proves that the tensor product of the factor shapes contains
 the target shape.  Goals are tuples of partitions with the target at
-coordinate 0.  The verifier also accepts Permute nodes, which reorder a
-child's coordinates, but no builder here makes them.
+coordinate 0.  LEAF_KINDS and INNER_KINDS are every kind the builders here
+make and the verifier accepts.
 """
 
 import json
@@ -20,7 +20,7 @@ LEAF_KINDS = (
     "SymmetricCube",
     "OracleLeaf",
 )
-INNER_KINDS = ("HSum", "VVHSum", "Conjugate", "Permute")
+INNER_KINDS = ("HSum", "VVHSum", "Conjugate")
 
 # What `Certificate.from_json` raises on input that is not a certificate:
 # malformed JSON (a ValueError), missing keys, wrong types, deep nesting.
@@ -43,14 +43,6 @@ class Certificate:
     goal: tuple
     children: tuple = ()
     meta: dict = field(default_factory=dict)
-
-    @property
-    def target(self):
-        return self.goal[0]
-
-    @property
-    def factors(self):
-        return self.goal[1:]
 
     def to_dict(self):
         return {
@@ -113,18 +105,18 @@ def base_hook(m, nu):
     return Certificate("Hook", (tuple(nu), rho, rho), meta={"m": m})
 
 
-def base_generalized_dominance(mu, nu, with_witness=True):
-    """Leaf for nu dominating a strictly-decreasing mu: (nu; mu, mu)."""
+def base_generalized_dominance(mu, nu):
+    """Leaf for nu dominating a strictly-decreasing mu: (nu; mu, mu), with
+    a column-distinct filling as its witness when one is found."""
     mu, nu = tuple(mu), tuple(nu)
     if pt.size(mu) != pt.size(nu):
         return None
     if not pt.has_distinct_rows(mu) or not pt.dominates(nu, mu):
         return None
     meta = {}
-    if with_witness:
-        filling = column_distinct_filling(mu, nu)
-        if filling is not None:
-            meta["filling"] = filling
+    filling = column_distinct_filling(mu, nu)
+    if filling is not None:
+        meta["filling"] = filling
     return Certificate("GeneralizedDominance", (nu, mu, mu), meta=meta)
 
 

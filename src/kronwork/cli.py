@@ -1,11 +1,12 @@
 """Command line front end.
 
-One subcommand per workbench area, all output machine readable.  Exit
+One subcommand per workbench area, each printing one JSON document.  Exit
 code 0 means the computation ran (even when a proof was not found);
 nonzero is reserved for usage and IO errors.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -41,20 +42,9 @@ def _fmt(value):
     return value
 
 
-def _emit(doc, fmt):
-    if fmt == "json":
-        json.dump(_fmt(doc), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        for k, v in sorted(doc.items()):
-            print("%s: %s" % (k, v))
-
-
-def _add_common(sub, oracle=True):
-    """--format, and --oracle-ceiling for the commands that use the oracle."""
-    sub.add_argument("--format", choices=("json", "text"), default="json")
-    if oracle:
-        sub.add_argument("--oracle-ceiling", type=int, default=ch.DEFAULT_ORACLE_CEILING)
+def _add_oracle_ceiling(sub):
+    """--oracle-ceiling, for the commands that use the oracle."""
+    sub.add_argument("--oracle-ceiling", type=int, default=ch.DEFAULT_ORACLE_CEILING)
 
 
 def _cmd_kron(args):
@@ -148,18 +138,8 @@ def _cmd_decompose(args):
         "n": args.m,
         "k": args.k,
         "core": pt.format_partition(d.core),
-        "flakes": [pt.format_partition(f) for f in d.flakes],
+        "flakes": sorted(d.flakes),
         "replay_ok": d.replay() == pt.staircase(args.m),
-    }
-
-
-def _report_doc(rep):
-    return {
-        "measure": rep.measure,
-        "n": rep.n,
-        "samples": rep.samples,
-        "seed": rep.seed,
-        "stats": rep.stats,
     }
 
 
@@ -169,7 +149,7 @@ def _cmd_sample(args):
         "uniform": sp.UNIFORM_RUSSIAN,
     }[args.measure]
     rep = sp.sample_report(args.measure, args.n, args.samples, args.seed, shape=shape)
-    return _report_doc(rep)
+    return dataclasses.asdict(rep)
 
 
 def _cmd_experiment(args):
@@ -184,8 +164,7 @@ def _cmd_experiment(args):
             args.n, args.samples, args.seed, measure=args.measure
         )
     elif args.kind == "fourth-power":
-        rng = sp.SeededRng(args.seed, 0)
-        nu = sp.plancherel_sample(args.n, rng)
+        nu = sp.draw("plancherel", args.n, args.seed, 0)
         out = decomp.fourth_power_pipeline(nu)
         ok, msg = verify_certificate(out["certificate"])
         return {
@@ -200,7 +179,7 @@ def _cmd_experiment(args):
         }
     else:
         raise SystemExit("unknown experiment %r" % args.kind)
-    doc = _report_doc(rep)
+    doc = dataclasses.asdict(rep)
     doc["kind"] = args.kind
     return doc
 
@@ -236,19 +215,19 @@ def build_parser():
     p.add_argument("--mu")
     p.add_argument("--nu")
     p.add_argument("--factors", help="semicolon-separated partition list")
-    _add_common(p)
+    _add_oracle_ceiling(p)
     p.set_defaults(fn=_cmd_kron)
 
     p = sub.add_parser("support", help="tensor square support of a partition")
     p.add_argument("--lambda", dest="lam", required=True)
-    _add_common(p)
+    _add_oracle_ceiling(p)
     p.set_defaults(fn=_cmd_support)
 
     p = sub.add_parser("prove", help="certificate search in a staircase square")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
-    _add_common(p)
+    _add_oracle_ceiling(p)
     p.set_defaults(fn=_cmd_prove)
 
     p = sub.add_parser("saxl", help="prove every partition of m(m+1)/2")
@@ -256,12 +235,12 @@ def build_parser():
     p.add_argument("--cache")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--threads", type=int, default=0)
-    _add_common(p)
+    _add_oracle_ceiling(p)
     p.set_defaults(fn=_cmd_saxl)
 
     p = sub.add_parser("verify-cert", help="check a certificate file")
     p.add_argument("--file", required=True, help="path or - for stdin")
-    _add_common(p)
+    _add_oracle_ceiling(p)
     p.set_defaults(fn=_cmd_verify_cert)
 
     p = sub.add_parser("decompose", help="staircase identities")
@@ -269,7 +248,6 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--i", type=int)
     p.add_argument("--smooth", action="store_true")
-    _add_common(p, oracle=False)
     p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("sample", help="draw seeded random partitions")
@@ -277,7 +255,6 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p, oracle=False)
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("experiment", help="aggregate statistics experiments")
@@ -293,18 +270,16 @@ def build_parser():
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fallback", action="store_true")
-    _add_common(p, oracle=False)
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("distance", help="blockwise distance and move trace")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
-    _add_common(p, oracle=False)
     p.set_defaults(fn=_cmd_distance)
 
     p = sub.add_parser("exceptions", help="tensor square coverage scan")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_oracle_ceiling(p)
     p.set_defaults(fn=_cmd_exceptions)
 
     return ap
@@ -318,7 +293,8 @@ def dispatch(argv=None):
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    _emit(doc, args.format)
+    json.dump(_fmt(doc), sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
     return 0
 
 

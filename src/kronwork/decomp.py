@@ -139,7 +139,6 @@ class SplitResult:
     certificate: object
     log: list = field(default_factory=list)
     unassigned: int = 0
-    block_moves: int = 0
 
 
 def _assemble_split(nu, m, targets, parts, statuses, log, unassigned=0):
@@ -322,7 +321,6 @@ class _MoveLog:
         self.pieces = pieces  # lists of column heights
         self.pool = sorted(pool, reverse=True)
         self.trace = [self._shape()]
-        self.created = 0
 
     def _shape(self):
         cols = list(self.pool)
@@ -333,7 +331,6 @@ class _MoveLog:
     def _draw(self):
         """Take one block from the tallest pool column, if any."""
         if not self.pool:
-            self.created += 1
             return
         self.pool[0] -= 1
         if self.pool[0] == 0:
@@ -495,7 +492,7 @@ def _near_square(m, mu, attempt_nodes=30000):
     arm = pt.size(mu[:durfee]) - durfee * durfee
     leg = pt.size(conj[:durfee]) - durfee * durfee
     if leg > arm:
-        target, cert = _near_square(m, conj)
+        target, cert = _near_square(m, conj, attempt_nodes)
         flipped = conjugate_cert(cert, (0, 1))
         if flipped.goal != (pt.conjugate(target), rho, rho):
             raise AssertionError("conjugate retry mismatch")
@@ -503,7 +500,7 @@ def _near_square(m, mu, attempt_nodes=30000):
 
     x, y, zs = pt.layer_sides(m, 4, 1) or pt.layer_sides(m, 4, 2)
     recipe = pt.layer_step(("stair", x), 4, y, zs)
-    cols = sorted(pt.conjugate(mu), reverse=True)
+    cols = list(pt.conjugate(mu))
     total = 0
     j = 0
     while total < pt.triangular(x):
@@ -515,7 +512,7 @@ def _near_square(m, mu, attempt_nodes=30000):
     ct = cut_tail(tail, pt.recipe_sides(recipe)[1:], C)
 
     excess = pt.size(head) - pt.triangular(x)
-    _, head_cert = _near_square(x, _shed_blocks(head, excess))
+    _, head_cert = _near_square(x, _shed_blocks(head, excess), attempt_nodes)
 
     full = fold_certs(recipe, [head_cert] + ct.part_certs)
     if full.goal[1] != rho:
@@ -538,7 +535,7 @@ def fourth_power_pipeline(nu, attempt_nodes=30000):
     xi = pt.irregular_staircase(n)
 
     # spin off k height-1 columns so the leftover row can be peeled
-    cols = sorted(pt.conjugate(nu), reverse=True)
+    cols = list(pt.conjugate(nu))
     while sum(1 for c in cols if c == 1) < k:
         tall = next(i for i, c in enumerate(cols) if c >= 2)
         cols[tall] -= 1

@@ -74,6 +74,10 @@ def prove_in_staircase_square(m, nu, budget=None, ceiling=ch.DEFAULT_ORACLE_CEIL
     oracle, when the size is at most the ceiling; the tree search, seeded
     with symmetric cubes; and the chunk search, which peels oracle-sized
     pieces off all three coordinates.
+
+    `budget` bounds the pack and tree searches only.  The chunk search
+    runs on its own Budget(60000), so even Budget(0) can return a
+    certificate: (9,7,6,5,2,2,2,2,1) at m = 8 gets one of oracle leaves.
     """
     nu = pt.check_partition(nu)
     if pt.size(nu) != pt.triangular(m):

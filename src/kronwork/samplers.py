@@ -15,7 +15,7 @@ from functools import lru_cache
 from . import partitions as pt
 
 
-class SeededRng:
+class SeededRng(random.Random):
     """Deterministic substream keyed by (seed, index).
 
     Identical seed and index give bit-identical draws, independent of
@@ -23,27 +23,11 @@ class SeededRng:
     """
 
     def __init__(self, seed, index=0):
-        self.seed = int(seed)
-        self.index = int(index)
-        self._rng = random.Random("%d:%d" % (self.seed, self.index))
-
-    def random(self):
-        return self._rng.random()
-
-    def randrange(self, n):
-        return self._rng.randrange(n)
-
-    def shuffle(self, xs):
-        self._rng.shuffle(xs)
+        super().__init__("%d:%d" % (int(seed), int(index)))
 
 
 # ---------------------------------------------------------------------------
 # exact samplers
-
-
-def _p_table(n):
-    """p(0), ..., p(n) from the pentagonal number recurrence."""
-    return pt._pentagonal_table(n)
 
 
 @lru_cache(maxsize=None)
@@ -65,7 +49,7 @@ def uniform_sample(n, rng):
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    p = _p_table(n)
+    p = pt._pentagonal_table(n)
     sigma = _sigma_table(n)
     parts = []
     while n > 0:
@@ -84,7 +68,7 @@ def uniform_sample(n, rng):
                     parts.extend([d] * (s // d))
                     break
         n -= s
-    return tuple(sorted(parts, reverse=True))
+    return pt.from_rows(parts)
 
 
 def plancherel_sample(n, rng):
@@ -119,37 +103,26 @@ def rsk_shape(word):
 _B = math.pi / (2 * math.sqrt(6))
 
 
-@dataclass
-class LimitShape:
-    """A limit curve, Russian (rotated) or French coordinates."""
-
-    tag: str
-
-    def __call__(self, x):
-        return limit_shape_eval(self, x)
+def PLANCHEREL_RUSSIAN(x):
+    """The Vershik-Kerov-Logan-Shepp curve, in Russian coordinates."""
+    if abs(x) >= 2:
+        return abs(x)
+    return (2 / math.pi) * (x * math.asin(x / 2) + math.sqrt(4 - x * x))
 
 
-PLANCHEREL_RUSSIAN = LimitShape("PlancherelRussian")
-UNIFORM_RUSSIAN = LimitShape("UniformRussian")
-UNIFORM_FRENCH = LimitShape("UniformFrench")
+def UNIFORM_RUSSIAN(x):
+    """The uniform limit curve (1/b) log(e^{bx} + e^{-bx}), Russian
+    coordinates; written with |x| so big |x| does not overflow."""
+    a = abs(x)
+    return a + math.log1p(math.exp(-2 * _B * a)) / _B
 
 
-def limit_shape_eval(shape, x):
-    """Evaluate the curve at x; raises on points outside its domain."""
-    if shape.tag == "PlancherelRussian":
-        if abs(x) >= 2:
-            return abs(x)
-        return (2 / math.pi) * (x * math.asin(x / 2) + math.sqrt(4 - x * x))
-    if shape.tag == "UniformRussian":
-        # (1/b) log(e^{bx} + e^{-bx}); the max keeps big |x| from overflowing
-        a = abs(x)
-        return a + math.log1p(math.exp(-2 * _B * a)) / _B
-    if shape.tag == "UniformFrench":
-        t = math.exp(-math.pi * x / math.sqrt(6))
-        if x <= 0 or t >= 1:
-            raise ValueError("french curve needs x > 0")
-        return -math.sqrt(6) / math.pi * math.log(1 - t)
-    raise ValueError("unknown limit shape %r" % shape.tag)
+def UNIFORM_FRENCH(x):
+    """The uniform limit curve in French coordinates; raises for x <= 0."""
+    t = math.exp(-math.pi * x / math.sqrt(6))
+    if x <= 0 or t >= 1:
+        raise ValueError("french curve needs x > 0")
+    return -math.sqrt(6) / math.pi * math.log(1 - t)
 
 
 def russian_profile(lam, u):
@@ -163,12 +136,12 @@ def rescaled_sup_distance(lam, shape):
     if n < 1:
         raise ValueError("need a nonempty partition")
     s = 1 / math.sqrt(n)
-    if shape.tag == "UniformFrench":
+    if shape is UNIFORM_FRENCH:
         cols = pt.conjugate(lam)
         best = 0.0
         for j in range(1, lam[0] + 1):
             y = cols[j - 1] if j <= len(cols) else 0
-            best = max(best, abs(y * s - limit_shape_eval(shape, j * s)))
+            best = max(best, abs(y * s - shape(j * s)))
         return best
     lo = -len(lam) - 1
     hi = lam[0] + 1
@@ -278,7 +251,7 @@ def experiment_flexibility(n, beta, samples, seed):
     """Empirical probability that a Plancherel partition is flexible."""
     hits = 0
     for i in range(samples):
-        lam = plancherel_sample(n, SeededRng(seed, i))
+        lam = draw("plancherel", n, seed, i)
         if beta_sum_flexible(lam, beta):
             hits += 1
     lo, hi = wilson_interval(hits, samples)

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from kronwork import cli
+from kronwork import partitions as pt
 from kronwork.verify import verify_certificate
 from kronwork.certificates import Certificate
 
@@ -124,6 +125,16 @@ def test_decompose(capsys):
     code, doc = run(capsys, "decompose", "--m", "12", "--k", "3", "--i", "1")
     assert code == 0
     assert doc["m"] == 12
+
+
+def test_decompose_grid_without_i(capsys):
+    # the grid branch used to format the flakes, which are staircase sides
+    # (ints), as partitions and exit with a TypeError
+    code, doc = run(capsys, "decompose", "--m", "9", "--k", "3")
+    assert code == 0 and doc["replay_ok"] is True
+    sides = sorted(pt.recipe_sides(pt.stair_grid(9, 3)))
+    assert doc["core"] == pt.format_partition(pt.staircase(sides[-1]))
+    assert doc["flakes"] == sides[:-1]
 
 
 def test_sample_deterministic(capsys):

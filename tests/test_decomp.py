@@ -2,6 +2,7 @@ import pytest
 
 from kronwork import decomp
 from kronwork import partitions as pt
+from kronwork import samplers
 from kronwork.verify import verify_certificate
 
 
@@ -118,8 +119,30 @@ def test_fourth_power_pipeline_easy():
     assert out["ratio"] == pytest.approx(out["d"] / (2 * 55) ** 0.5)
 
 
+@pytest.mark.parametrize("i", [6, 27])
+def test_fourth_power_pipeline_passes_attempt_nodes_to_every_attempt(monkeypatch, i):
+    # Plancherel draw 6 at n = 210 takes the conjugate branch of
+    # `_near_square` and draw 27 its head recursion; both recursive calls
+    # used to run the prover on the default budget of 30,000 nodes
+    budgets = []
+    prove = decomp.prove_in_staircase_square
+
+    def spy(m, nu, budget=None, **kw):
+        if budget is not None:  # cut_tail's calls pass no budget
+            budgets.append(budget.nodes)
+        return prove(m, nu, budget=budget, **kw)
+
+    monkeypatch.setattr(decomp, "prove_in_staircase_square", spy)
+    nu = samplers.draw("plancherel", 210, 20260826, i)
+    out = decomp.fourth_power_pipeline(nu, attempt_nodes=1000)
+    assert verify_certificate(out["certificate"])[0]
+    assert len(budgets) >= 2 and set(budgets) == {1000}
+
+
 def test_fourth_power_pipeline_forced_decomposition():
-    # attempt_nodes=0 forces the structural path even on easy input
+    # nu is dominance-comparable to rho_10, so even with attempt_nodes=0
+    # the first prover call returns a dominance leaf and d = 0: the budget
+    # does not bound the leaf checks, and the structural path is not taken
     nu = pt.conjugate((20,) + (5,) * 7)
     out = decomp.fourth_power_pipeline(nu, attempt_nodes=0)
     assert verify_certificate(out["certificate"])[0]

@@ -339,9 +339,11 @@ def test_verify_saxl_reproves_cache_entries_with_an_arity_mismatch(tmp_path):
     goal = ((4, 1, 1), rho, rho)
     leaf = Certificate("OracleLeaf", goal)
     conj = Certificate("Conjugate", goal + (rho,), (leaf,), {"coords": [2, 3]})
+    root = Certificate("Conjugate", goal, (conj,), {"coords": []})
+    assert "arity" in verify_certificate(root)[1]
     path = os.path.join(cache, "m3_4-1-1.json")
     with open(path, "w") as fh:
-        fh.write(Certificate("Permute", goal, (conj,), {"perm": [0, 1, 2]}).to_json())
+        fh.write(root.to_json())
     assert verify_saxl(3, cache_dir=cache) == first
     with open(path) as fh:
         assert verify_certificate(Certificate.from_json(fh.read()))[0]
