@@ -153,6 +153,9 @@ def _cmd_sample(args):
 
 
 def _cmd_experiment(args):
+    need = "m" if args.kind == "coverage" else "n"
+    if getattr(args, need) is None:
+        raise ValueError("experiment --kind %s needs --%s" % (args.kind, need))
     if args.kind == "flexibility":
         rep = sp.experiment_flexibility(args.n, args.beta, args.samples, args.seed)
     elif args.kind == "coverage":

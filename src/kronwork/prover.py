@@ -12,7 +12,6 @@ from .certificates import (
     DECODE_ERRORS,
     Certificate,
     base_dominance,
-    base_generalized_dominance,
     base_hook,
     base_oracle,
     base_symmetric_cube,
@@ -25,7 +24,7 @@ from .verify import verify_certificate
 
 DEFAULT_NODE_BUDGET = 100000
 
-# entries kept by each search cache (oracle leaves, splits, split indexes)
+# entries kept by each search cache (oracle leaves, splits)
 _CACHE_SIZE = 200000
 
 # targets handed to a saxl pool worker at a time
@@ -71,13 +70,12 @@ def prove_in_staircase_square(m, nu, budget=None, ceiling=ch.DEFAULT_ORACLE_CEIL
     nu, with backtracking, into the pieces of each split of
     `_split_recipes`, proving stubborn pieces recursively; a conjugate
     retry, which runs this whole search on the conjugate of nu; the
-    oracle, when the size is at most the ceiling; the tree search, seeded
-    with symmetric cubes; and the chunk search, which peels oracle-sized
-    pieces off all three coordinates.
+    oracle, when the size is at most the ceiling; and the chunk search,
+    which peels oracle-sized pieces off all three coordinates.
 
-    `budget` bounds the pack and tree searches only.  The chunk search
-    runs on its own Budget(60000), so even Budget(0) can return a
-    certificate: (9,7,6,5,2,2,2,2,1) at m = 8 gets one of oracle leaves.
+    `budget` bounds the pack search only.  The chunk search runs on its
+    own Budget(60000), so even Budget(0) can return a certificate:
+    (9,7,6,5,2,2,2,2,1) at m = 8 gets one of oracle leaves.
     """
     nu = pt.check_partition(nu)
     if pt.size(nu) != pt.triangular(m):
@@ -111,10 +109,6 @@ def _prove(m, nu, budget, ceiling, depth, allow_flip):
     cert = _oracle_leaf(goal, ceiling)
     if cert is not None:
         return cert
-    if depth > 0 and not budget.exhausted:
-        cert = _tree_search(goal, budget, ceiling)
-        if cert is not None:
-            return cert
     if depth >= 2:
         return _chunk_search(goal, Budget(60000), ceiling)
     return None
@@ -219,23 +213,7 @@ def _pack_search(m, nu, recipe, budget, ceiling, depth):
 
 
 # ---------------------------------------------------------------------------
-# semigroup tree search (for targets the grid and layer splits cannot reach;
-# seeded with symmetric square leaves)
-
-
-def _leaf_cert(goal, ceiling, need_square):
-    t, f1, f2 = goal
-    if t == f1 == f2 and pt.is_symmetric(t):
-        return base_symmetric_cube(t)
-    if need_square:
-        return None
-    if f1 == f2:
-        cert = base_generalized_dominance(f1, t)
-        if cert is None and f1 == pt.staircase(len(f1)):
-            cert = _staircase_leaf(len(f1), t)
-        if cert is not None:
-            return cert
-    return _oracle_leaf(goal, ceiling)
+# semigroup splits: the chunk search cuts goals along these
 
 
 def _h_splits(p, s):
@@ -243,8 +221,9 @@ def _h_splits(p, s):
     whose rowwise remainder p - mu is a partition with first row at most s.
 
     That bound drops some horizontal splits: `_h_splits((3,), 1)` is empty.
-    Lifting it to p's first row changed some m = 8 certificates and made
-    the pipeline about ten times slower, so the searches keep it.
+    Lifting it to p's first row changed 3 of 300 sampled m = 8
+    certificates and made the pipeline about ten times slower, so the
+    chunk search keeps it.
     """
     out = []
     rows = list(p)
@@ -298,38 +277,20 @@ def _coord_splits(p, s, vertical):
     return [(q, _complement(p, q, vertical)) for q in pieces]
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _split_index(p, s, vertical):
-    """The splits of p at size s, in `_coord_splits` order, with the rank of
-    each piece and of each complement among them."""
-    splits = _coord_splits(p, s, vertical)
-    return (
-        splits,
-        {q: r for r, (q, _) in enumerate(splits)},
-        {c: r for r, (_, c) in enumerate(splits)},
-    )
-
-
 def _complement(p, piece, vertical):
-    """p minus piece, rowwise or as a row multiset, or None when that is not
-    a partition (only a peeled square can fail to fit)."""
+    """p minus piece, as a row multiset or row by row.  `_coord_splits` only
+    passes pieces that fit, so the result is always a partition."""
     if vertical:
         rest = list(p)
-        try:
-            for r in piece:
-                rest.remove(r)
-        except ValueError:
-            return None
+        for r in piece:
+            rest.remove(r)
         return pt.from_rows(rest)
-    if len(piece) > len(p):
-        return None
     rows = [a - b for a, b in zip_longest(p, piece, fillvalue=0)]
-    if min(rows, default=0) < 0 or any(a < b for a, b in zip(rows, rows[1:])):
-        return None
     return tuple(x for x in rows if x > 0)
 
 
 _VERTICAL_PATTERNS = ((), (0, 1), (0, 2), (1, 2))
+
 
 def _chunk_search(goal, budget, ceiling):
     """Peel oracle-sized pieces off all three coordinates, biggest first,
@@ -373,125 +334,6 @@ def _chunk_search(goal, budget, ceiling):
     return rec(goal)
 
 
-def _tree_search(goal, budget, ceiling):
-    """Semigroup tree of 2, 3 or 4 leaves proving goal, or None.
-
-    `_prove` runs it after its leaves, the pack searches, the conjugate
-    retry and the oracle, and before the chunk search.  Those have tried
-    every one-leaf tree, so it only looks for trees with a symmetric cube
-    (lam; lam, lam) as one leaf, with 2, 3 and 4 leaves, each size on its
-    own slice of at most 60,000 nodes.  For each split p0 | c0 of the
-    target, a 2-leaf tree can only pair a cube with one other leaf, so
-    instead of walking every split (p1, p2) of the factors it tries the at
-    most two pairs that complete a cube: p1 == p2 == p0 or c1 == c2 == c0
-    (`_cube_pairs`).  It still charges one node for each pair the walk
-    would have visited, so a slice ends where it did rather than running
-    on through the costlier nodes of the larger trees.  In every seeded
-    split a one-leaf cube side is tested before the other side.
-    """
-    memo = {}
-    for leaves in (2, 3, 4):
-        if budget.exhausted:
-            return None
-        take = max(1, min(budget.nodes, 60000))
-        seeded = Budget(take)
-        cert = _tree(goal, leaves, True, seeded, ceiling, memo)
-        budget.spend(take - max(0, seeded.nodes))
-        if cert is not None:
-            return cert
-    return None
-
-
-def _tree(goal, leaves, need_square, budget, ceiling, memo):
-    key = (goal, leaves, need_square)
-    if key in memo:
-        return None
-    if not budget.spend():
-        return None
-    if leaves == 1:
-        cert = _leaf_cert(goal, ceiling, need_square)
-        if cert is None:
-            memo[key] = None
-        return cert
-    if need_square:
-        cert = _square_peel(goal, leaves, budget, ceiling, memo)
-        if cert is not None:
-            return cert
-    n = pt.size(goal[0])
-    for vertical in _VERTICAL_PATTERNS:
-        vflags = [c in vertical for c in range(3)]
-        for s in range(1, n):
-            for p0, c0 in _coord_splits(goal[0], s, vflags[0]):
-                ok = _expand_factors(
-                    goal, s, vflags, p0, c0, leaves, need_square, budget, ceiling, memo
-                )
-                if ok is not None:
-                    return ok
-                if budget.exhausted:
-                    return None
-    memo[key] = None
-    return None
-
-
-def _square_peel(goal, leaves, budget, ceiling, memo):
-    """Split a symmetric square off every coordinate at once."""
-    n = pt.size(goal[0])
-    top = int(n ** 0.5)
-    for s in range(top, 0, -1):
-        if s * s >= n:
-            continue
-        sq = pt.rectangle(s, s)
-        for vertical in _VERTICAL_PATTERNS:
-            if not budget.spend():
-                return None
-            rest = tuple(
-                _complement(goal[c], sq, c in vertical) for c in range(3)
-            )
-            if any(r is None for r in rest):
-                continue
-            tail = _tree(rest, leaves - 1, False, budget, ceiling, memo)
-            if tail is None:
-                continue
-            cert = combine_vvh(base_symmetric_cube(sq), tail, vertical)
-            if cert.goal != goal:
-                raise AssertionError("semigroup assembly mismatch")
-            return cert
-    return None
-
-
-def _expand_factors(goal, s, vflags, p0, c0, leaves, need_square, budget, ceiling, memo):
-    if need_square and leaves == 2:
-        pairs = _cube_pairs(goal, s, vflags, p0, c0, budget)
-    else:
-        pairs = _walk_pairs(goal, s, vflags, p0, c0, budget)
-    vertical = tuple(c for c in range(3) if vflags[c])
-    needs = ((True, False), (False, True)) if need_square else ((False, False),)
-    for left, right in pairs:
-        for lv in range(1, leaves):
-            rv = leaves - lv
-            for nl, nr in needs:
-                cr = None
-                if nr and rv == 1:
-                    # a one-leaf square side is one comparison: test it first
-                    cr = _tree(right, rv, nr, budget, ceiling, memo)
-                    if cr is None:
-                        continue
-                cl = _tree(left, lv, nl, budget, ceiling, memo)
-                if cl is None:
-                    continue
-                if cr is None:
-                    cr = _tree(right, rv, nr, budget, ceiling, memo)
-                    if cr is None:
-                        continue
-                cert = combine_vvh(cl, cr, vertical)
-                if cert.goal != goal:
-                    raise AssertionError("semigroup assembly mismatch")
-                return cert
-        if budget.exhausted:
-            return None
-    return None
-
-
 def _walk_pairs(goal, s, vflags, p0, c0, budget):
     """Every (left, right) pair of triples that extends the split p0 | c0,
     one node each."""
@@ -500,33 +342,6 @@ def _walk_pairs(goal, s, vflags, p0, c0, budget):
             if not budget.spend():
                 return
             yield (p0, p1, p2), (c0, c1, c2)
-
-
-def _cube_pairs(goal, s, vflags, p0, c0, budget):
-    """The pairs of `_walk_pairs` that can give a seeded 2-leaf tree.
-
-    With one leaf on each side, one side must be a symmetric cube: the left
-    when p1 == p2 == p0, the right when c1 == c2 == c0.  These are at most
-    two pairs, found by rank and yielded in walk order.  The budget is
-    charged as the walk would be: up to and including each pair yielded,
-    and through to the walk's end when none of them succeeds.
-    """
-    splits1, pieces1, rests1 = _split_index(goal[1], s, vflags[1])
-    splits2, pieces2, rests2 = _split_index(goal[2], s, vflags[2])
-    ranks = set()
-    if p0 in pieces1 and p0 in pieces2 and pt.is_symmetric(p0):
-        ranks.add((pieces1[p0], pieces2[p0]))
-    if c0 in rests1 and c0 in rests2 and pt.is_symmetric(c0):
-        ranks.add((rests1[c0], rests2[c0]))
-    charged = 0
-    for r1, r2 in sorted(ranks):
-        walked = r1 * len(splits2) + r2 + 1
-        if not budget.spend(walked - charged):
-            return
-        charged = walked
-        (p1, c1), (p2, c2) = splits1[r1], splits2[r2]
-        yield (p0, p1, p2), (c0, c1, c2)
-    budget.spend(len(splits1) * len(splits2) - charged)
 
 
 # ---------------------------------------------------------------------------

@@ -59,18 +59,19 @@ def test_saxl_complete_large(m):
     assert time.time() - start < 3600
 
 
-def test_saxl_square_uses_symmetric_cube():
+def test_saxl_square_certificate_proves_its_goal():
+    # the square (6^6) at m = 8, from the cache when it holds the file
     square = pt.rectangle(6, 6)
+    rho = pt.staircase(8)
     path = os.path.join(saxl_cache(8), "m8_6-6-6-6-6-6.json")
     if os.path.exists(path):
         with open(path) as fh:
             cert = Certificate.from_json(fh.read())
     else:
         cert = prove_in_staircase_square(8, square)
-    assert cert is not None and cert.goal[0] == square
+    assert cert is not None and cert.goal == (square, rho, rho)
     ok, msg = verify_certificate(cert)
     assert ok, msg
-    assert "SymmetricCube" in cert.leaf_kinds()
 
 
 # 2. tensor square coverage exceptions

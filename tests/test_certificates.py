@@ -104,6 +104,8 @@ def test_builders_make_exactly_the_kinds_of_the_grammar():
         for a in range(1, n + 1):
             if n % a == 0:
                 kinds |= _node_kinds(prove_rectangle_cube(a, n // a))
+    # the square of side 6 inside the tensor cube of rho_8 builds SymmetricCube
+    kinds |= _node_kinds(prove_rectangle_cube(6, 6))
     for n in range(1, 13):
         for nu in pt.partitions_of(n):
             kinds |= _node_kinds(fourth_power_pipeline(nu)["certificate"])

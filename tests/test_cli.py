@@ -184,6 +184,18 @@ def test_experiment_fourth_power(capsys):
     assert doc["verified"] is True
 
 
+@pytest.mark.parametrize("kind, need", [
+    ("flexibility", "--n"), ("coverage", "--m"),
+    ("singleton", "--n"), ("fourth-power", "--n"),
+])
+def test_experiment_without_its_size_fails_closed(capsys, kind, need):
+    # each used to die with a TypeError traceback
+    assert cli.dispatch(["experiment", "--kind", kind, "--samples", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: experiment --kind %s needs %s\n" % (kind, need)
+
+
 def test_distance(capsys):
     code, doc = run(capsys, "distance", "--lambda", "3,1", "--mu", "2,2")
     assert code == 0
