@@ -120,16 +120,11 @@ def base_generalized_dominance(mu, nu):
     return Certificate("GeneralizedDominance", (nu, mu, mu), meta=meta)
 
 
-def base_symmetric_cube(lam, arity=2):
-    """Leaf (lam; lam, lam) for self-conjugate lam, or (mu; mu, mu, mu)."""
-    lam = tuple(lam)
-    if arity == 2:
-        if not pt.is_symmetric(lam):
-            return None
-        return Certificate("SymmetricCube", (lam, lam, lam))
-    if arity == 3:
-        return Certificate("SymmetricCube", (lam, lam, lam, lam))
-    return None
+def base_symmetric_cube(mu):
+    """Leaf (mu; mu, mu, mu): mu's tensor square contains the trivial
+    representation, so its tensor cube contains mu."""
+    mu = tuple(mu)
+    return Certificate("SymmetricCube", (mu, mu, mu, mu))
 
 
 def base_oracle(goal, ceiling=ch.DEFAULT_ORACLE_CEILING):

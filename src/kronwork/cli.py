@@ -156,12 +156,11 @@ def _cmd_experiment(args):
     need = "m" if args.kind == "coverage" else "n"
     if getattr(args, need) is None:
         raise ValueError("experiment --kind %s needs --%s" % (args.kind, need))
+    sp.check_samples(args.samples)
     if args.kind == "flexibility":
         rep = sp.experiment_flexibility(args.n, args.beta, args.samples, args.seed)
     elif args.kind == "coverage":
-        rep = sp.experiment_coverage(
-            args.m, args.measure, args.samples, args.seed, fallback=args.fallback
-        )
+        rep = sp.experiment_coverage(args.m, args.measure, args.samples, args.seed)
     elif args.kind == "singleton":
         rep = sp.singleton_column_stats(
             args.n, args.samples, args.seed, measure=args.measure
@@ -272,7 +271,6 @@ def build_parser():
     p.add_argument("--measure", choices=("uniform", "plancherel"), default="plancherel")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fallback", action="store_true")
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("distance", help="blockwise distance and move trace")

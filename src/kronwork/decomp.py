@@ -1,9 +1,9 @@
-"""Staircase decompositions, column-splitting algorithms, and the
-pipeline that reaches every partition from an irregular staircase
-square with a short run of block moves."""
+"""Staircase decompositions, and the pipeline that reaches every
+partition from an irregular staircase square with a short run of block
+moves."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import partitions as pt
 from .certificates import (
@@ -114,170 +114,6 @@ def caret_decompose(k):
     return LayerDecomposition(m=k, core=grid.core,
                               flakes=grid.flakes + [k - 1, k - 1],
                               recipe=recipe)
-
-
-def _split_recipe(m):
-    """The 2x2 grid split of rho_m with each row's pieces largest first."""
-    return ("V", [("H", row[::-1]) for _, row in pt.stair_grid(m, 2)[1]])
-
-
-def split_targets(m):
-    """Staircase sides for the four column-split pieces of rho_m."""
-    return pt.recipe_sides(_split_recipe(m))
-
-
-@dataclass
-class SplitResult:
-    """Outcome of splitting a partition into staircase-comparable pieces."""
-
-    nu: tuple
-    m: int
-    targets: list
-    parts: list
-    statuses: list
-    ok: bool
-    certificate: object
-    log: list = field(default_factory=list)
-    unassigned: int = 0
-
-
-def _assemble_split(nu, m, targets, parts, statuses, log, unassigned=0):
-    ok = not unassigned and all(s == "ok" for s in statuses)
-    cert = None
-    if ok:
-        cert = fold_certs(_split_recipe(m), map(base_dominance, targets, parts))
-        rho = pt.staircase(m)
-        if cert.goal != (nu, rho, rho):
-            raise AssertionError("split assembly mismatch")
-    return SplitResult(nu=nu, m=m, targets=targets, parts=parts,
-                       statuses=statuses, ok=ok, certificate=cert,
-                       log=log, unassigned=unassigned)
-
-
-def _part_status(part, target, goal):
-    if pt.size(part) != goal:
-        return "size %d != %d" % (pt.size(part), goal)
-    if not pt.comparable(part, pt.staircase(target)):
-        return "incomparable"
-    return "ok"
-
-
-def uniform_split(nu, m):
-    """Greedy column split of nu into four pieces sized like the grid
-    split of rho_m.
-
-    Columns are taken largest first; each of the first three pieces may
-    finish with one smaller out-of-place column, and columns of height 1
-    are held back to pad the sizes exactly.  Failure is reported in the
-    result, never raised.
-    """
-    nu = pt.check_partition(nu)
-    if pt.size(nu) != pt.triangular(m):
-        raise ValueError("nu must have size m(m+1)/2")
-    targets = split_targets(m)
-    goals = [pt.triangular(t) for t in targets]
-    cols = list(pt.conjugate(nu))
-    big = [c for c in cols if c > 1]
-    ones = len(cols) - len(big)
-    log = []
-    groups = [[] for _ in range(4)]
-    idx = 0
-    for p in range(3):
-        total = 0
-        while idx < len(big) and total + big[idx] <= goals[p]:
-            total += big[idx]
-            groups[p].append(big[idx])
-            idx += 1
-        if total < goals[p]:
-            # one out-of-place column: the largest later one that fits
-            for j in range(idx, len(big)):
-                if big[j] <= goals[p] - total:
-                    total += big[j]
-                    groups[p].append(big.pop(j))
-                    log.append("part %d topped up with column %d"
-                               % (p + 1, groups[p][-1]))
-                    break
-    groups[3] = big[idx:]
-    # size-1 columns pad the first three pieces, the rest join piece 4
-    for p in range(3):
-        need = goals[p] - sum(groups[p])
-        if 0 <= need <= ones:
-            groups[p].extend([1] * need)
-            ones -= need
-            if need:
-                log.append("part %d padded with %d singletons" % (p + 1, need))
-        elif need > ones:
-            log.append("part %d short %d with only %d singletons left"
-                       % (p + 1, need, ones))
-    groups[3].extend([1] * ones)
-    parts = [pt.from_columns(g) for g in groups]
-    statuses = [_part_status(p, t, g)
-                for p, t, g in zip(parts, targets, goals)]
-    return _assemble_split(nu, m, targets, parts, statuses, log)
-
-
-def plancherel_split(nu, m, threshold=None):
-    """Column split of nu that deals the tall columns out cyclically.
-
-    Columns of height at least the threshold (default ceil(n^(1/4))) go
-    to the four pieces in rotation; the short ones then fill whichever
-    piece has the largest remaining deficit.
-    """
-    nu = pt.check_partition(nu)
-    n = pt.size(nu)
-    if n != pt.triangular(m):
-        raise ValueError("nu must have size m(m+1)/2")
-    if threshold is None:
-        threshold = max(2, math.ceil(n ** 0.25))
-    targets = split_targets(m)
-    goals = [pt.triangular(t) for t in targets]
-    cols = list(pt.conjugate(nu))
-    tall = [c for c in cols if c >= threshold]
-    small = [c for c in cols if c < threshold]
-    log = ["threshold %d: %d tall, %d small" % (threshold, len(tall),
-                                                len(small))]
-    groups = [[] for _ in range(4)]
-    pos = 0
-    for c in tall:
-        p = pos % 4
-        if sum(groups[p]) + c <= goals[p]:
-            groups[p].append(c)
-            pos += 1
-        else:
-            # the slot is full at this scale; redistribute later
-            small.append(c)
-            log.append("column %d diverted from part %d" % (c, p + 1))
-    small.sort(reverse=True)
-    unassigned = 0
-    for c in small:
-        deficits = [g - sum(grp) for g, grp in zip(goals, groups)]
-        best = max(range(4), key=lambda p: deficits[p])
-        if deficits[best] >= c:
-            groups[best].append(c)
-        else:
-            unassigned += c
-    if unassigned:
-        log.append("%d blocks of short columns left unplaced" % unassigned)
-    parts = [pt.from_columns(g) for g in groups]
-    statuses = [_part_status(p, t, g)
-                for p, t, g in zip(parts, targets, goals)]
-    return _assemble_split(nu, m, targets, parts, statuses, log, unassigned)
-
-
-def height_criterion(k, nu):
-    """Column heights all at least k, or all at most floor(k/2) + 1.
-
-    Either condition forces dominance comparability with rho_k, which is
-    checked before returning True.
-    """
-    nu = pt.check_partition(nu)
-    if pt.size(nu) != pt.triangular(k):
-        raise ValueError("nu must have size k(k+1)/2")
-    cols = pt.conjugate(nu)
-    ok = not cols or cols[-1] >= k or cols[0] <= k // 2 + 1
-    if ok and not pt.comparable(nu, pt.staircase(k)):
-        raise AssertionError("height criterion held but dominance failed")
-    return ok
 
 
 @dataclass
@@ -449,21 +285,6 @@ def cut_tail(mu, targets, C):
                          part_certs=part_certs, certificate=cert,
                          trace=log.trace, structured_moves=structured,
                          exceptional_moves=exceptional, bound=bound)
-
-
-@dataclass
-class MoveBudget:
-    """Recursive upper bound for the moves the pipeline may need."""
-
-    m: int
-    bound: int
-
-
-def move_budget(m):
-    if m <= 8:
-        return MoveBudget(m, 148 * max(m, 0))
-    inner = move_budget(3 * m // 4 + 2).bound + move_budget(m // 8 + 2).bound
-    return MoveBudget(m, inner + 148 * m)
 
 
 def _shed_blocks(nu, count):

@@ -205,19 +205,6 @@ def is_hook(lam):
     return bool(lam) and all(r == 1 for r in lam[1:])
 
 
-def is_symmetric(lam):
-    """lam == conjugate(lam), compared row by row without building the
-    conjugate: column i holds lam[i] cells exactly when rows 0..lam[i]-1
-    reach past column i and row lam[i] does not."""
-    n = len(lam)
-    if n and lam[0] != n:
-        return False
-    for i, r in enumerate(lam):
-        if lam[r - 1] <= i or (r < n and lam[r] > i):
-            return False
-    return True
-
-
 def has_distinct_rows(lam):
     return all(lam[i] > lam[i + 1] for i in range(len(lam) - 1))
 

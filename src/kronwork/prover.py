@@ -1,5 +1,6 @@
 """Certificate search for positivity in staircase tensor squares."""
 
+import math
 import os
 import sys
 from contextlib import ExitStack
@@ -66,16 +67,19 @@ def _staircase_leaf(m, nu):
 def prove_in_staircase_square(m, nu, budget=None, ceiling=ch.DEFAULT_ORACLE_CEILING):
     """Find a certificate for (nu; rho_m, rho_m), or None.
 
-    Search order: the dominance and hook leaves; packing the columns of
-    nu, with backtracking, into the pieces of each split of
+    Search order: the dominance and hook leaves; the 2x2 grid split with
+    nu's columns dealt greedily, then cyclically (`deal_grid`); packing
+    the columns of nu, with backtracking, into the pieces of each split of
     `_split_recipes`, proving stubborn pieces recursively; a conjugate
     retry, which runs this whole search on the conjugate of nu; the
     oracle, when the size is at most the ceiling; and the chunk search,
     which peels oracle-sized pieces off all three coordinates.
 
-    `budget` bounds the pack search only.  The chunk search runs on its
-    own Budget(60000), so even Budget(0) can return a certificate:
-    (9,7,6,5,2,2,2,2,1) at m = 8 gets one of oracle leaves.
+    `budget` bounds the pack search only.  The leaves and the two dealt
+    grids are checks on a fixed assignment and cost no nodes, and the
+    chunk search runs on its own Budget(60000), so even Budget(0) can
+    return a certificate: (9,7,6,5,2,2,2,2,1) at m = 8 gets one of oracle
+    leaves.
     """
     nu = pt.check_partition(nu)
     if pt.size(nu) != pt.triangular(m):
@@ -94,6 +98,11 @@ def _prove(m, nu, budget, ceiling, depth, allow_flip):
     cert = _staircase_leaf(m, nu)
     if cert is not None:
         return cert
+    cols = pt.conjugate(nu)
+    for deal in DEALINGS.values():
+        cert = deal_grid(m, cols, deal)
+        if cert is not None:
+            return cert
     for recipe in _split_recipes(m):
         cert = _pack_search(m, nu, recipe, budget, ceiling, depth)
         if cert is not None:
@@ -112,6 +121,103 @@ def _prove(m, nu, budget, ceiling, depth, allow_flip):
     if depth >= 2:
         return _chunk_search(goal, Budget(60000), ceiling)
     return None
+
+
+# ---------------------------------------------------------------------------
+# the column splits of the uniform and Plancherel measures: one dealing of
+# nu's columns into the 2x2 grid each
+
+
+def _deal_greedy(cols, caps):
+    """Deal columns, tallest first, into bins of the given capacities,
+    largest first.
+
+    Each bin but the last takes columns in order while they fit, then the
+    tallest later column that fills part of its gap; columns of height 1
+    are held back to pad those bins exactly, and the rest go to the last.
+    """
+    big = [c for c in cols if c > 1]
+    ones = len(cols) - len(big)
+    bins = [[] for _ in caps]
+    idx = 0
+    for b, cap in enumerate(caps[:-1]):
+        total = 0
+        while idx < len(big) and total + big[idx] <= cap:
+            total += big[idx]
+            bins[b].append(big[idx])
+            idx += 1
+        # one out-of-place column: the tallest later one that fits
+        for j in range(idx, len(big)):
+            if big[j] <= cap - total:
+                bins[b].append(big.pop(j))
+                break
+    bins[-1] = big[idx:]
+    for b, cap in enumerate(caps[:-1]):
+        need = cap - sum(bins[b])
+        if 0 <= need <= ones:
+            bins[b].extend([1] * need)
+            ones -= need
+    bins[-1].extend([1] * ones)
+    return bins
+
+
+def _deal_cyclic(cols, caps):
+    """Deal columns, tallest first, into bins of the given capacities,
+    largest first.
+
+    Columns of height at least ceil(n^(1/4)) (and at least 2) go to the
+    bins in rotation, a column that overflows its bin's turn waiting with
+    the short ones; those then go, tallest first, to the bin with the
+    largest gap, and a column that fits in no gap is left out.
+    """
+    threshold = max(2, math.ceil(sum(caps) ** 0.25))
+    bins = [[] for _ in caps]
+    gaps = list(caps)
+    rest = []
+    pos = 0
+    for c in cols:
+        b = pos % len(caps)
+        if threshold <= c <= gaps[b]:
+            bins[b].append(c)
+            gaps[b] -= c
+            pos += 1
+        else:
+            rest.append(c)
+    rest.sort(reverse=True)
+    for c in rest:
+        b = max(range(len(caps)), key=gaps.__getitem__)
+        if c <= gaps[b]:
+            bins[b].append(c)
+            gaps[b] -= c
+    return bins
+
+
+# the dealing of each measure's column split, in the order `_prove` tries them
+DEALINGS = {"uniform": _deal_greedy, "plancherel": _deal_cyclic}
+
+
+@lru_cache(maxsize=256)
+def _grid_layout(m):
+    """The 2x2 grid of rho_m, its piece sides in fold order, the pieces
+    from the largest side to the smallest, and their sizes."""
+    recipe = pt.stair_grid(m, 2)
+    sides = pt.recipe_sides(recipe)
+    order = sorted(range(len(sides)), key=lambda b: -sides[b])
+    return recipe, sides, order, [pt.triangular(sides[b]) for b in order]
+
+
+def deal_grid(m, cols, deal):
+    """Certificate for (nu; rho_m, rho_m) from the 2x2 grid, with the
+    columns `cols` of nu dealt into its pieces by `deal`, or None unless
+    every dealt piece is a staircase leaf."""
+    recipe, sides, order, caps = _grid_layout(m)
+    certs = [None] * len(sides)
+    for b, dealt in zip(order, deal(cols, caps)):
+        if sides[b] or dealt:
+            certs[b] = _staircase_leaf(sides[b], pt.from_columns(dealt))
+            if certs[b] is None:
+                return None
+    return fold_certs(recipe, certs)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +587,7 @@ def _rect_cube(a, b, m):
             raise AssertionError("wide rectangle should dominate the staircase")
         return cert
     mu = pt.rectangle(2 * a - m, 2 * m - 2 * a + 1)
-    head = base_symmetric_cube(mu, arity=3)
+    head = base_symmetric_cube(mu)
     mid = _rect_cube(m - a, 2 * m - 2 * a + 1, 2 * m - 2 * a)
     cert = combine_h(head, mid)
     b2 = b + 2 * a - 2 * m - 1

@@ -207,6 +207,12 @@ class SampleReport:
     stats: dict = field(default_factory=dict)
 
 
+def check_samples(samples):
+    """Turn away a negative sample count, which would read as no samples."""
+    if samples < 0:
+        raise ValueError("samples must be nonnegative, not %d" % samples)
+
+
 def draw(measure, n, seed, index):
     rng = SeededRng(seed, index)
     if measure == "uniform":
@@ -219,6 +225,7 @@ def draw(measure, n, seed, index):
 def sample_report(measure, n, samples, seed, shape=None):
     """Draw a batch and summarize it: frequency table at small n,
     rescaled row/column lengths, and distance to a limit curve."""
+    check_samples(samples)
     freq = {}
     lengths = []
     heights = []
@@ -249,6 +256,7 @@ def sample_report(measure, n, samples, seed, shape=None):
 
 def experiment_flexibility(n, beta, samples, seed):
     """Empirical probability that a Plancherel partition is flexible."""
+    check_samples(samples)
     hits = 0
     for i in range(samples):
         lam = draw("plancherel", n, seed, i)
@@ -265,36 +273,34 @@ def experiment_flexibility(n, beta, samples, seed):
     )
 
 
-def experiment_coverage(m, measure, samples, seed, fallback=False):
-    """How often the matching constructive split handles a random
-    partition of m(m+1)/2, optionally retrying failures with the prover."""
-    from . import decomp
-    from .prover import Budget, prove_in_staircase_square
+def experiment_coverage(m, measure, samples, seed):
+    """How often a random partition of m(m+1)/2 is proved by the grid split
+    with the measure's dealing of its columns alone (split_rate), and by
+    the prover at its default budget (prover_rate)."""
+    from .prover import DEALINGS, deal_grid, prove_in_staircase_square
 
+    if m < 1:
+        raise ValueError("m must be positive, not %d" % m)
+    check_samples(samples)
     n = pt.triangular(m)
-    split = decomp.uniform_split if measure == "uniform" else decomp.plancherel_split
-    ok = 0
-    rescued = 0
+    split = proved = 0
     for i in range(samples):
         lam = draw(measure, n, seed, i)
-        res = split(lam, m)
-        if res.ok:
-            ok += 1
-        elif fallback:
-            cert = prove_in_staircase_square(m, lam, budget=Budget(2000))
-            if cert is not None:
-                rescued += 1
+        split += deal_grid(m, pt.conjugate(lam), DEALINGS[measure]) is not None
+        proved += prove_in_staircase_square(m, lam) is not None
     stats = {
-        "split_rate": ok / samples if samples else 0.0,
-        "split_successes": ok,
+        "split_rate": split / samples if samples else 0.0,
+        "split_successes": split,
+        "prover_rate": proved / samples if samples else 0.0,
     }
-    if fallback:
-        stats["prover_rate"] = (ok + rescued) / samples if samples else 0.0
     return SampleReport(measure, n, samples, seed, stats)
 
 
 def singleton_column_stats(n, samples, seed, measure="uniform"):
     """Distribution of the singleton-column count, rescaled by pi/sqrt(6n)."""
+    if n < 1:
+        raise ValueError("n must be positive, not %d" % n)
+    check_samples(samples)
     scale = math.pi / math.sqrt(6 * n)
     vals = []
     for i in range(samples):

@@ -33,12 +33,16 @@ def test_generalized_dominance_needs_strict_rows():
     assert ct.base_generalized_dominance((4, 2), (3, 2, 1)) is None
 
 
+def _square_cube(lam):
+    # the 2-ary cube leaf: no builder makes one, but cached certificates hold it
+    return ct.Certificate("SymmetricCube", (lam, lam, lam))
+
+
 def test_symmetric_cube_leaf():
-    cert = ct.base_symmetric_cube((2, 1))
-    assert cert is not None and verify_certificate(cert)[0]
-    assert ct.base_symmetric_cube((3, 1)) is None
-    four = ct.base_symmetric_cube((2, 1), arity=3)
-    assert four is not None and len(four.goal) == 4
+    assert verify_certificate(_square_cube((2, 1)))[0]
+    assert not verify_certificate(_square_cube((3, 1)))[0]
+    four = ct.base_symmetric_cube((2, 1))
+    assert len(four.goal) == 4 and verify_certificate(four)[0]
 
 
 def test_oracle_leaf_respects_ceiling():
@@ -133,7 +137,7 @@ def test_verifier_rejects_a_root_that_is_not_a_certificate(root):
 def test_json_round_trip():
     a = ct.base_dominance(3, (3, 2, 1))
     b = ct.base_oracle(((3,), (3,), (3,)))
-    c = ct.combine_vvh(ct.combine_h(a, b), ct.base_symmetric_cube((2, 1)), (1, 2))
+    c = ct.combine_vvh(ct.combine_h(a, b), _square_cube((2, 1)), (1, 2))
     back = ct.Certificate.from_json(c.to_json())
     assert back == c
     assert verify_certificate(back)[0]
@@ -146,7 +150,7 @@ def build_pool():
     pool.append(dom)
     oc = ct.base_oracle(((3, 1), (2, 2), (2, 1, 1)))
     pool.append(ct.combine_h(dom, oc))
-    pool.append(ct.combine_vvh(oc, ct.base_symmetric_cube((2, 1)), (1, 2)))
+    pool.append(ct.combine_vvh(oc, _square_cube((2, 1)), (1, 2)))
     pool.append(ct.conjugate_cert(pool[-1], (0, 1)))
     gd = ct.base_generalized_dominance((4, 3, 1), (5, 3))
     pool.append(ct.combine_h(gd, ct.base_hook(2, (2, 1))))
@@ -300,7 +304,7 @@ def _mixed_arity_children():
     # an empty 3-ary leaf and a 4-ary cube: zip over the goals drops the
     # cube's fourth factor, so the sum looked like ((1,1); (1,1), (1,1))
     return (ct.Certificate("OracleLeaf", ((), (), ())),
-            ct.base_symmetric_cube((1, 1), arity=3))
+            ct.base_symmetric_cube((1, 1)))
 
 
 @pytest.mark.parametrize("kind, meta", [("HSum", {}), ("VVHSum", {"vertical": []})])

@@ -175,7 +175,7 @@ def test_experiment_coverage(capsys):
         "2",
     )
     assert code == 0
-    assert "split_rate" in doc["stats"]
+    assert "split_rate" in doc["stats"] and "prover_rate" in doc["stats"]
 
 
 def test_experiment_fourth_power(capsys):
@@ -194,6 +194,30 @@ def test_experiment_without_its_size_fails_closed(capsys, kind, need):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: experiment --kind %s needs %s\n" % (kind, need)
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["experiment", "--kind", "flexibility", "--n", "10", "--samples", "-2"],
+     "samples must be nonnegative, not -2"),
+    (["experiment", "--kind", "coverage", "--m", "6", "--samples", "-2"],
+     "samples must be nonnegative, not -2"),
+    (["experiment", "--kind", "singleton", "--n", "10", "--samples", "-2"],
+     "samples must be nonnegative, not -2"),
+    (["experiment", "--kind", "fourth-power", "--n", "10", "--samples", "-2"],
+     "samples must be nonnegative, not -2"),
+    (["sample", "--measure", "uniform", "--n", "5", "--samples", "-2"],
+     "samples must be nonnegative, not -2"),
+    (["experiment", "--kind", "singleton", "--n", "0"], "n must be positive, not 0"),
+    (["experiment", "--kind", "coverage", "--m", "0"], "m must be positive, not 0"),
+], ids=["flexibility", "coverage", "singleton", "fourth-power", "sample",
+        "singleton-n0", "coverage-m0"])
+def test_bad_counts_fail_closed(capsys, argv, why):
+    # a negative count used to pass as no samples (flexibility then reported
+    # wilson_low 2.09) and singleton --n 0 died with a ZeroDivisionError
+    assert cli.dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % why
 
 
 def test_distance(capsys):

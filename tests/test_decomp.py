@@ -2,6 +2,7 @@ import pytest
 
 from kronwork import decomp
 from kronwork import partitions as pt
+from kronwork import prover
 from kronwork import samplers
 from kronwork.verify import verify_certificate
 
@@ -45,41 +46,25 @@ def test_caret_identity_replays():
         assert decomp.caret_decompose(k).replay() == pt.caret(k)
 
 
-def test_split_targets_sum():
-    for m in range(2, 40):
-        t = decomp.split_targets(m)
-        assert len(t) == 4
-        assert sum(t) == 2 * m - 1
-        assert sum(pt.triangular(x) for x in t) == pt.triangular(m)
+def _dealt_staircases(measure):
+    for m in (6, 8, 20):
+        cert = prover.deal_grid(m, pt.conjugate(pt.staircase(m)), prover.DEALINGS[measure])
+        assert cert.goal == (pt.staircase(m),) * 3
+        assert verify_certificate(cert)[0]
 
 
 def test_uniform_split_on_easy_shapes():
-    for m in (6, 8, 20):
-        res = decomp.uniform_split(pt.staircase(m), m)
-        assert res.ok, res.statuses
-        assert res.certificate.goal[1] == pt.staircase(m)
-        assert verify_certificate(res.certificate)[0]
+    _dealt_staircases("uniform")
 
 
 def test_plancherel_split_on_easy_shapes():
-    for m in (6, 8, 20):
-        res = decomp.plancherel_split(pt.staircase(m), m)
-        assert res.ok, res.statuses
-        assert verify_certificate(res.certificate)[0]
+    _dealt_staircases("plancherel")
 
 
 def test_split_failure_is_reported_not_raised():
-    # a single huge column cannot fill four balanced parts
-    nu = pt.conjugate((pt.triangular(6),))
-    res = decomp.uniform_split(nu, 6)
-    assert not res.ok
-    assert res.certificate is None
-
-
-def test_height_criterion():
-    assert decomp.height_criterion(4, (2, 2, 2, 2, 2))
-    assert decomp.height_criterion(4, (4, 3, 3))
-    assert not decomp.height_criterion(4, (6, 2, 1, 1))
+    # a single huge column cannot fill four balanced pieces
+    for deal in prover.DEALINGS.values():
+        assert prover.deal_grid(6, (pt.triangular(6),), deal) is None
 
 
 def test_cut_tail_identity_case():
@@ -104,12 +89,6 @@ def test_cut_tail_validates_targets():
         decomp.cut_tail((5, 4, 3, 2, 1), [5, 2], 5)
 
 
-def test_move_budget_recursion():
-    for m in (4, 10, 50, 200):
-        b = decomp.move_budget(m)
-        assert b.bound >= 0
-
-
 def test_fourth_power_pipeline_easy():
     nu = pt.staircase(10)  # 55 boxes, comparable outright
     out = decomp.fourth_power_pipeline(nu)
@@ -119,11 +98,12 @@ def test_fourth_power_pipeline_easy():
     assert out["ratio"] == pytest.approx(out["d"] / (2 * 55) ** 0.5)
 
 
-@pytest.mark.parametrize("i", [6, 27])
+@pytest.mark.parametrize("i", [34, 45])
 def test_fourth_power_pipeline_passes_attempt_nodes_to_every_attempt(monkeypatch, i):
-    # Plancherel draw 6 at n = 210 takes the conjugate branch of
-    # `_near_square` and draw 27 its head recursion; both recursive calls
-    # used to run the prover on the default budget of 30,000 nodes
+    # with no nodes, uniform draws 34 and 45 at n = 210 fail the first
+    # attempt, take the conjugate branch of `_near_square` and then its
+    # head recursion; both recursive calls used to run the prover on the
+    # default budget of 30,000 nodes
     budgets = []
     prove = decomp.prove_in_staircase_square
 
@@ -133,10 +113,10 @@ def test_fourth_power_pipeline_passes_attempt_nodes_to_every_attempt(monkeypatch
         return prove(m, nu, budget=budget, **kw)
 
     monkeypatch.setattr(decomp, "prove_in_staircase_square", spy)
-    nu = samplers.draw("plancherel", 210, 20260826, i)
-    out = decomp.fourth_power_pipeline(nu, attempt_nodes=1000)
+    nu = samplers.draw("uniform", 210, 20260826, i)
+    out = decomp.fourth_power_pipeline(nu, attempt_nodes=0)
     assert verify_certificate(out["certificate"])[0]
-    assert len(budgets) >= 2 and set(budgets) == {1000}
+    assert budgets == [0, 0, 0]
 
 
 def test_fourth_power_pipeline_forced_decomposition():

@@ -69,7 +69,7 @@ def test_staircases_and_triangulars():
     assert pt.triangular(4) == 10
     assert pt.staircase_fit(10) == (4, 0)
     assert pt.staircase_fit(12) == (4, 2)
-    assert pt.is_symmetric(pt.staircase(6))
+    assert pt.conjugate(pt.staircase(6)) == pt.staircase(6)
 
 
 def test_irregular_staircase_adds_one_row():
@@ -136,9 +136,3 @@ def test_move_trace_is_single_steps(a, b):
     for x, y in zip(trace, trace[1:]):
         assert pt.is_single_step(x, y)
     assert len(trace) - 1 == pt.blockwise_distance(a, b)
-
-
-def test_is_symmetric_matches_the_conjugate():
-    for n in range(13):
-        for lam in pt.partitions_of(n):
-            assert pt.is_symmetric(lam) == (lam == pt.conjugate(lam)), lam

@@ -6,6 +6,7 @@ import pytest
 from kronwork import characters as ch
 from kronwork import partitions as pt
 from kronwork import prover
+from kronwork import samplers
 from kronwork.prover import (
     Budget,
     _complement,
@@ -166,6 +167,17 @@ def test_small_targets_need_neither_tree_nor_chunk_search(monkeypatch):
         for nu in pt.partitions_of(pt.triangular(m)):
             cert = prove_in_staircase_square(m, nu)
             assert cert is not None and verify_certificate(cert)[0], nu
+
+
+@pytest.mark.parametrize("i", [6, 27])
+def test_dealt_grid_proves_plancherel_draws_the_pack_search_misses(i):
+    # the pack search spends the whole default budget on these m = 20 draws
+    # without a proof; a dealt grid proves them (draw 27 only the cyclic one)
+    nu = samplers.draw("plancherel", 210, 20260826, i)
+    cert = prove_in_staircase_square(20, nu)
+    assert cert is not None
+    ok, msg = verify_certificate(cert)
+    assert ok, msg
 
 
 def test_budget_stops_search():

@@ -151,8 +151,8 @@ def test_experiment_coverage_report():
     rep = sp.experiment_coverage(6, "plancherel", 40, 8)
     assert rep.n == pt.triangular(6)
     assert rep.stats["split_successes"] <= 40
-    rep2 = sp.experiment_coverage(6, "plancherel", 40, 8, fallback=True)
-    assert rep2.stats["prover_rate"] >= rep2.stats["split_rate"]
+    # the prover tries the dealt grid, so it proves every split success
+    assert rep.stats["split_rate"] <= rep.stats["prover_rate"] == 1.0
 
 
 def test_singleton_column_stats():
