@@ -13,6 +13,13 @@ from .partitions import conjugate, partitions_of, size
 
 DEFAULT_ORACLE_CEILING = 14
 
+# Bounds of the character caches.  The whole character table of every
+# n <= DEFAULT_ORACLE_CEILING fills 4,067 `_mn` entries, 508 rows and 15
+# class-size tuples, so the default oracle never evicts an entry.
+_MN_CACHE = 1 << 13
+_ROW_CACHE = 1024
+_CLASS_CACHE = 64
+
 
 class OracleCeilingError(ValueError):
     pass
@@ -47,14 +54,13 @@ def _beta_mask(lam):
     return mask
 
 
-@lru_cache(maxsize=None)
-def _mn(mask, rho):
+def _rim_hook_sum(mask, rho):
     """chi(rho) for the shape whose canonical beta mask is mask.
 
     Removing a rim hook of length t moves a bead b of the beta set to an
     empty position b - t: two bit flips.  Its sign is (-1)^height, where the
-    height is the number of beads strictly between b - t and b.  Values are
-    memoised on (mask, rho).
+    height is the number of beads strictly between b - t and b.  The
+    characters of the remainders come from `_mn`, memoised on (mask, rho).
     """
     if not rho:
         return 1
@@ -78,6 +84,9 @@ def _mn(mask, rho):
     return total
 
 
+_mn = lru_cache(maxsize=_MN_CACHE)(_rim_hook_sum)
+
+
 def character(lam, rho):
     """Value of the irreducible character of shape lam on class rho."""
     if size(lam) != size(rho):
@@ -96,17 +105,21 @@ def dimension(lam):
     return math.factorial(size(lam)) // denom
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CLASS_CACHE)
 def _class_sizes(n):
     """|C_rho| for each rho, in `partitions_of(n)` order."""
     return tuple(class_size(rho) for rho in partitions_of(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ROW_CACHE)
 def _char_row(lam):
-    """chi^lam(rho) for each rho, in `partitions_of(|lam|)` order."""
+    """chi^lam(rho) for each rho, in `partitions_of(|lam|)` order.
+
+    The row is cached whole, so its own values skip `_mn`: only the rim-hook
+    remainders, which rows share, are memoised.
+    """
     mask = _beta_mask(lam)
-    return tuple(_mn(mask, rho) for rho in partitions_of(size(lam)))
+    return tuple(_rim_hook_sum(mask, rho) for rho in partitions_of(size(lam)))
 
 
 def multi_kronecker(factors, ceiling=DEFAULT_ORACLE_CEILING):

@@ -454,18 +454,63 @@ def _walk_pairs(goal, s, vflags, p0, c0, budget):
 # Saxl driver
 
 
+def log_path(cache_dir, m):
+    """The certificate log of m: one certificate JSON per line."""
+    return os.path.join(cache_dir, "m%d.jsonl" % m)
+
+
 def cache_path(cache_dir, m, nu):
-    """Where the certificate of nu inside the square of rho_m is cached."""
+    """Where the legacy layout, one file per target, keeps the certificate
+    of nu inside the square of rho_m."""
     return os.path.join(cache_dir, "m%d_%s.json" % (m, "-".join(map(str, nu)) or "0"))
 
 
-def write_cached(path, cert):
-    """Write cert to path atomically, through a temporary file of this
-    process, so a crash or a concurrent writer never leaves half a file."""
-    tmp = "%s.tmp%d" % (path, os.getpid())
-    with open(tmp, "w") as fh:
-        fh.write(cert.to_json())
-    os.replace(tmp, path)
+def _read_log(path, targets, rho, ceiling, proved, rejected):
+    """Set proved[i] for each target targets[i] that a line of the log at
+    path proves, and count the rejected lines by reason in `rejected`.
+    Returns the number of targets proved.
+
+    The log is read a line at a time.  A line is a hit when it decodes,
+    proves exactly (nu; rho, rho) for a target nu not yet proved, and
+    verifies.  A later line for a proved target is skipped unverified; any
+    other line is a miss, and stderr says why.
+    """
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return 0
+    index = {nu: i for i, nu in enumerate(targets)}
+    hits = 0
+    with fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                cert = Certificate.from_json(line)
+            except DECODE_ERRORS as e:
+                reason, why = "unreadable", "unreadable (%s)" % e
+            else:
+                goal = cert.goal
+                i = index.get(goal[0]) if goal[1:] == (rho, rho) else None
+                if i is None:
+                    reason, why = "foreign", "it proves %r" % (goal,)
+                elif proved[i]:
+                    continue
+                else:
+                    ok, msg = verify_certificate(cert, ceiling=ceiling)
+                    if ok:
+                        proved[i] = True
+                        hits += 1
+                        continue
+                    reason, why = "invalid", "invalid (%s)" % msg
+            rejected[reason] = rejected.get(reason, 0) + 1
+            print("saxl: skipping %s line %d: %s" % (path, number, why), file=sys.stderr)
+    return hits
+
+
+def _has_legacy_files(cache_dir, m):
+    """Whether cache_dir holds any legacy file of m."""
+    prefix = "m%d_" % m
+    with os.scandir(cache_dir) as entries:
+        return any(e.name.startswith(prefix) for e in entries)
 
 
 def _read_cached(path, goal, ceiling):
@@ -473,7 +518,7 @@ def _read_cached(path, goal, ceiling):
     exactly goal.
 
     A missing, unreadable, foreign or invalid entry is a cache miss, so the
-    caller proves the target again and overwrites it.
+    caller proves the target again and appends it to the log.
     """
     try:
         with open(path) as fh:
@@ -494,50 +539,67 @@ def _read_cached(path, goal, ceiling):
     return cert
 
 
-def _prove_into(m, nu, path, ceiling, budget_nodes):
-    """Prove nu inside the square of rho_m, verify the certificate and
-    cache it at path unless path is None.  True when a certificate was
-    found; it proves exactly (nu; rho_m, rho_m), or the prover raises."""
+def _prove_into(m, nu, ceiling, budget_nodes):
+    """Prove nu inside the square of rho_m and verify the certificate.
+    Returns its JSON text, or None when no certificate was found; it proves
+    exactly (nu; rho_m, rho_m), or the prover raises."""
     cert = prove_in_staircase_square(
         m, nu, budget=Budget(budget_nodes), ceiling=ceiling
     )
     if cert is None:
-        return False
+        return None
     ok, msg = verify_certificate(cert, ceiling=ceiling)
     if not ok:
         raise AssertionError("bad certificate for %s: %s" % (nu, msg))
-    if path is not None:
-        write_cached(path, cert)
-    return True
+    return cert.to_json()
+
+
+def _open_log(path):
+    """A descriptor appending to the log at path, and the bytes to write
+    before its first new line: a newline when the log ends in a cut line."""
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+    end = os.fstat(fd).st_size
+    return fd, b"\n" if end and os.pread(fd, 1, end - 1) != b"\n" else b""
 
 
 def verify_saxl(m, cache_dir=None, ceiling=ch.DEFAULT_ORACLE_CEILING,
                 budget_nodes=DEFAULT_NODE_BUDGET, progress=False, threads=1):
     """Prove every partition of m(m+1)/2 inside the staircase square.
 
-    Returns a report dict.  With a cache directory, every target's cached
-    certificate is read and verified first.  The targets it does not prove
-    are then proved, verified and cached (when a cache is given) by
-    `_prove_into`, in a pool of at most `threads` processes and at most one
-    per `_CHUNK` misses, or in this process when that is one, and counted
-    here in target order, so the report does not depend on the thread
-    count.
+    Returns a report dict.  A cache directory holds the log of m
+    (`log_path`), one certificate per line, read by `_read_log`.  Targets
+    the log does not prove fall back to the legacy layout, one file per
+    target (`cache_path`), which is only read.  The targets neither proves
+    are then proved and verified by `_prove_into`, in a pool of at most
+    `threads` processes and at most one per `_CHUNK` misses, or in this
+    process when that is one.  Their results come back here in target
+    order: this process counts them and, with a cache, appends each
+    certificate to the log in one write of a whole line, so neither the
+    report nor the log depends on the thread count, and a killed run loses
+    at most the line being written.  A last stderr line sums up where the
+    proofs came from.
     """
     n = pt.triangular(m)
     rho = pt.staircase(m)
     targets = pt.partitions_of(n)
-    paths = [None] * len(targets)
+    proved = [False] * len(targets)
+    rejected = {}
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
-        paths = [cache_path(cache_dir, m, nu) for nu in targets]
-    proved = [
-        path is not None and _read_cached(path, (nu, rho, rho), ceiling) is not None
-        for nu, path in zip(targets, paths)
-    ]
+        path = log_path(cache_dir, m)
+        from_log = _read_log(path, targets, rho, ceiling, proved, rejected)
+        from_files = 0
+        # a directory with no legacy file, like a cold one, skips the lookups
+        if not all(proved) and _has_legacy_files(cache_dir, m):
+            for i, nu in enumerate(targets):
+                if not proved[i] and _read_cached(
+                        cache_path(cache_dir, m, nu), (nu, rho, rho), ceiling) is not None:
+                    proved[i] = True
+                    from_files += 1
     todo = [i for i, ok in enumerate(proved) if not ok]
-    jobs = (repeat(m), [targets[i] for i in todo], [paths[i] for i in todo],
-            repeat(ceiling), repeat(budget_nodes))
+    jobs = (repeat(m), [targets[i] for i in todo], repeat(ceiling), repeat(budget_nodes))
     workers = min(threads, -(-len(todo) // _CHUNK))
+    fresh = 0
     with ExitStack() as stack:
         run = map
         if workers > 1:
@@ -547,10 +609,27 @@ def verify_saxl(m, cache_dir=None, ceiling=ch.DEFAULT_ORACLE_CEILING,
             pool = stack.enter_context(
                 ProcessPoolExecutor(workers, mp_context=get_context("spawn")))
             run = partial(pool.map, chunksize=_CHUNK)
-        for done, (i, ok) in enumerate(zip(todo, run(_prove_into, *jobs)), 1):
-            proved[i] = ok
+        fd = None
+        for done, (i, text) in enumerate(zip(todo, run(_prove_into, *jobs)), 1):
+            if text is not None:
+                proved[i] = True
+                fresh += 1
+                if cache_dir is not None:
+                    if fd is None:
+                        fd, lead = _open_log(path)
+                        stack.callback(os.close, fd)
+                    line = lead + text.encode() + b"\n"
+                    if os.write(fd, line) != len(line):
+                        raise OSError("short write to %s" % path)
+                    lead = b""
             if progress and done % 1000 == 0:
                 print("saxl m=%d: %d/%d" % (m, done, len(todo)), file=sys.stderr)
+    if cache_dir is not None:
+        print("saxl m=%d cache: %d targets proved from the log, %d from legacy files, "
+              "%d in this run; log lines rejected: %s"
+              % (m, from_log, from_files, fresh,
+                 ", ".join("%d %s" % (rejected[k], k) for k in sorted(rejected))
+                 or "none"), file=sys.stderr)
     failures = [pt.format_partition(nu) for nu, ok in zip(targets, proved) if not ok]
     return {
         "m": m,

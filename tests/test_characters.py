@@ -196,3 +196,19 @@ def test_char_row_and_class_sizes_follow_partition_order():
             for i, rho in enumerate(classes):
                 assert row[i] == ch.character(lam, rho)
 
+
+def test_character_caches_are_bounded_and_hold_the_default_ceiling():
+    # every character table up to the default ceiling fits without eviction
+    caches = {name: f for name, f in vars(ch).items()
+              if hasattr(f, "cache_parameters") and f.__module__ == ch.__name__}
+    assert set(caches) >= {"_mn", "_char_row", "_class_sizes"}
+    for name, f in caches.items():
+        assert f.cache_parameters()["maxsize"] is not None, name
+        f.cache_clear()
+    for n in range(ch.DEFAULT_ORACLE_CEILING + 1):
+        ch._class_sizes(n)
+        for lam in pt.partitions_of(n):
+            ch._char_row(lam)
+    for name, f in caches.items():
+        info = f.cache_info()
+        assert info.currsize < info.maxsize, name

@@ -104,21 +104,17 @@ def test_saxl_small(tmp_path, capsys):
     assert doc["proved"] == doc["total"]
 
 
-def _cache_files(cache):
-    out = {}
-    for name in os.listdir(cache):
-        with open(os.path.join(cache, name), "rb") as fh:
-            out[name] = fh.read()
-    return out
-
-
 def test_saxl_pool_and_serial_write_the_same_cache(tmp_path, capsys):
+    # the parent appends the certificates in target order, whoever proved them
     serial, pool = str(tmp_path / "serial"), str(tmp_path / "pool")
     assert run(capsys, "saxl", "--m", "4", "--threads", "1", "--cache", serial) == \
         run(capsys, "saxl", "--m", "4", "--threads", "2", "--cache", pool)
-    files = _cache_files(serial)
-    assert len(files) == 42 and all(name.endswith(".json") for name in files)
-    assert _cache_files(pool) == files
+    assert os.listdir(serial) == os.listdir(pool) == ["m4.jsonl"]
+    with open(os.path.join(serial, "m4.jsonl"), "rb") as fh:
+        log = fh.read()
+    assert len(log.splitlines()) == 42
+    with open(os.path.join(pool, "m4.jsonl"), "rb") as fh:
+        assert fh.read() == log
 
 
 def test_decompose(capsys):

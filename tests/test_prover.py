@@ -228,20 +228,59 @@ def test_rectangle_cube_four_fold_positive_small():
         assert ch.multi_kronecker((rect, rho, rho, rho)) > 0
 
 
-def _clobber_cache(cache, m, nu):
-    """Overwrite every m cache file with the certificate for nu."""
-    text = prove_in_staircase_square(m, nu).to_json()
-    for name in os.listdir(cache):
-        with open(os.path.join(cache, name), "w") as fh:
-            fh.write(text)
+# The two cache layouts: "files", the legacy one certificate file per
+# target, which `verify_saxl` only reads, and "log", one line per certificate.
+LAYOUTS = ("files", "log")
 
 
-def _cached_goals(cache):
-    goals = {}
+def _cert_texts(m):
+    return {nu: prove_in_staircase_square(m, nu).to_json()
+            for nu in pt.partitions_of(pt.triangular(m))}
+
+
+def _make_cache(cache, m, layout, texts):
+    """A cache of m in the given layout holding texts[nu] for each nu."""
+    cache = str(cache)
+    os.makedirs(cache)
+    if layout == "log":
+        with open(prover.log_path(cache, m), "w") as fh:
+            fh.writelines(text + "\n" for text in texts.values())
+    else:
+        for nu, text in texts.items():
+            with open(prover.cache_path(cache, m, nu), "w") as fh:
+                fh.write(text)
+    return cache
+
+
+def _contents(cache):
+    out = {}
     for name in os.listdir(cache):
-        with open(os.path.join(cache, name)) as fh:
-            goals[name] = Certificate.from_json(fh.read()).goal
-    return goals
+        with open(os.path.join(cache, name), "rb") as fh:
+            out[name] = fh.read()
+    return out
+
+
+def _rerun(cache, m, **kw):
+    """verify_saxl over cache, which must report as a run without one does,
+    leave every legacy file as it was and only append to the log.  Returns
+    the goals of the appended lines, each of which verifies."""
+    log = os.path.basename(prover.log_path(cache, m))
+    before = _contents(cache)
+    old = before.pop(log, b"")
+    assert verify_saxl(m, cache_dir=cache, **kw) == verify_saxl(m, **kw)
+    after = _contents(cache)
+    new = after.pop(log, b"")
+    assert after == before and new.startswith(old)
+    # the first appended line may follow a newline that ends a cut line
+    certs = [Certificate.from_json(line)
+             for line in new[len(old):].lstrip(b"\n").splitlines()]
+    assert all(verify_certificate(c)[0] for c in certs)
+    return [c.goal for c in certs]
+
+
+def _goals(nus, m):
+    rho = pt.staircase(m)
+    return [(nu, rho, rho) for nu in nus]
 
 
 def test_verify_saxl_runs_the_pool_without_a_cache(monkeypatch):
@@ -273,47 +312,61 @@ def test_verify_saxl_proves_one_chunk_of_misses_without_a_pool(monkeypatch):
 
 
 def test_verify_saxl_creates_the_cache_directory_once(tmp_path, monkeypatch):
+    legacy = _make_cache(tmp_path / "legacy", 3, "files", _cert_texts(3))
+    names = sorted(os.listdir(legacy))
     made = []
     makedirs = os.makedirs
     monkeypatch.setattr(os, "makedirs", lambda *a, **kw: made.append(a) or makedirs(*a, **kw))
     cache = str(tmp_path / "m3")
     assert verify_saxl(3, cache_dir=cache)["complete"]
     assert made == [(cache,)]
-    assert sorted(os.listdir(cache)) == sorted(
-        os.path.basename(prover.cache_path(cache, 3, nu)) for nu in pt.partitions_of(6))
+    assert os.listdir(cache) == ["m3.jsonl"]
+    with open(prover.log_path(cache, 3)) as fh:
+        assert len(fh.readlines()) == pt.partition_count(6)
+    # a complete legacy directory is only read: no log is created
+    assert verify_saxl(3, cache_dir=legacy)["complete"]
+    assert made == [(cache,), (legacy,)]
+    assert sorted(os.listdir(legacy)) == names
 
 
 def test_verify_saxl_reproves_foreign_cache_entries(tmp_path):
-    cache = str(tmp_path / "m4")
-    first = verify_saxl(4, cache_dir=cache)
-    goals = _cached_goals(cache)
-    _clobber_cache(cache, 4, pt.staircase(4))
-    assert verify_saxl(4, cache_dir=cache) == first
-    assert _cached_goals(cache) == goals
+    # every entry holds one certificate: that of the staircase, a target
+    # whose own entry is then a hit (in the log, its later copies are
+    # duplicates); that of the staircase of m = 3; or a valid one of
+    # ((10); (10), (10)), whose first factor is a target
+    texts = _cert_texts(4)
+    stair = pt.staircase(4)
+    trivial = Certificate("OracleLeaf", ((10,),) * 3)
+    assert verify_certificate(trivial)[0]
+    cases = [(texts[stair], [nu for nu in texts if nu != stair]),
+             (_cert_texts(3)[pt.staircase(3)], list(texts)),
+             (trivial.to_json(), list(texts))]
+    for case, (text, want) in enumerate(cases):
+        for layout in LAYOUTS:
+            cache = _make_cache(tmp_path / ("%s%d" % (layout, case)), 4, layout,
+                                dict.fromkeys(texts, text))
+            assert _rerun(cache, 4) == _goals(want, 4), (case, layout)
+            assert _rerun(cache, 4) == []
 
 
 def test_verify_saxl_counts_only_matching_goals(tmp_path):
     # with neither search nor oracle some m=4 targets have no proof; a cache
     # whose every entry proves the staircase itself must not hide that
     weak = dict(ceiling=0, budget_nodes=0)
-    cold = verify_saxl(4, cache_dir=str(tmp_path / "cold"), **weak)
-    assert not cold["complete"]
-    cache = str(tmp_path / "clobbered")
-    verify_saxl(4, cache_dir=cache)
-    _clobber_cache(cache, 4, pt.staircase(4))
-    assert verify_saxl(4, cache_dir=cache, **weak) == cold
+    assert not verify_saxl(4, **weak)["complete"]
+    texts = _cert_texts(4)
+    stair = texts[pt.staircase(4)]
+    for layout in LAYOUTS:
+        cache = _make_cache(tmp_path / layout, 4, layout, dict.fromkeys(texts, stair))
+        _rerun(cache, 4, **weak)
 
 
 def test_verify_saxl_reproves_truncated_cache_entries(tmp_path):
-    cache = str(tmp_path / "m3")
-    first = verify_saxl(3, cache_dir=cache)
-    for name in os.listdir(cache):
-        path = os.path.join(cache, name)
-        with open(path) as fh:
-            text = fh.read()
-        with open(path, "w") as fh:
-            fh.write(text[: len(text) // 2])
-    assert verify_saxl(3, cache_dir=cache) == first
+    texts = _cert_texts(3)
+    cut = {nu: text[: len(text) // 2] for nu, text in texts.items()}
+    for layout in LAYOUTS:
+        cache = _make_cache(tmp_path / layout, 3, layout, cut)
+        assert _rerun(cache, 3) == _goals(texts, 3), layout
 
 
 @pytest.mark.parametrize("text", [
@@ -321,44 +374,97 @@ def test_verify_saxl_reproves_truncated_cache_entries(tmp_path):
     "[" * 5000 + "]" * 5000,
 ], ids=["int-goal", "deep-nesting"])
 def test_verify_saxl_reproves_undecodable_cache_entries(tmp_path, text):
-    cache = str(tmp_path / "m3")
-    first = verify_saxl(3, cache_dir=cache)
-    for name in os.listdir(cache):
-        with open(os.path.join(cache, name), "w") as fh:
-            fh.write(text)
-    assert verify_saxl(3, cache_dir=cache) == first
+    texts = _cert_texts(3)
+    for layout in LAYOUTS:
+        cache = _make_cache(tmp_path / layout, 3, layout, dict.fromkeys(texts, text))
+        assert _rerun(cache, 3) == _goals(texts, 3), layout
 
 
 def test_verify_saxl_reproves_invalid_cache_entries(tmp_path):
     # right goal, but the Hook leaf's m is a string: used to abort the run
-    cache = str(tmp_path / "m3")
-    first = verify_saxl(3, cache_dir=cache)
     rho = pt.staircase(3)
-    path = os.path.join(cache, "m3_4-1-1.json")
-    with open(path, "w") as fh:
-        fh.write(Certificate("Hook", ((4, 1, 1), rho, rho), meta={"m": "3"}).to_json())
-    assert verify_saxl(3, cache_dir=cache) == first
-    with open(path) as fh:
-        assert verify_certificate(Certificate.from_json(fh.read()))[0]
+    texts = _cert_texts(3)
+    texts[(4, 1, 1)] = Certificate(
+        "Hook", ((4, 1, 1), rho, rho), meta={"m": "3"}).to_json()
+    for layout in LAYOUTS:
+        cache = _make_cache(tmp_path / layout, 3, layout, texts)
+        assert _rerun(cache, 3) == _goals([(4, 1, 1)], 3), layout
 
 
 def test_verify_saxl_reproves_cache_entries_with_an_arity_mismatch(tmp_path):
     # right goal, but a 4-ary Conjugate sits over a 3-ary leaf: used to
     # raise IndexError out of the verifier and abort the run
-    cache = str(tmp_path / "m3")
-    first = verify_saxl(3, cache_dir=cache)
     rho = pt.staircase(3)
     goal = ((4, 1, 1), rho, rho)
     leaf = Certificate("OracleLeaf", goal)
     conj = Certificate("Conjugate", goal + (rho,), (leaf,), {"coords": [2, 3]})
     root = Certificate("Conjugate", goal, (conj,), {"coords": []})
     assert "arity" in verify_certificate(root)[1]
-    path = os.path.join(cache, "m3_4-1-1.json")
-    with open(path, "w") as fh:
-        fh.write(root.to_json())
-    assert verify_saxl(3, cache_dir=cache) == first
-    with open(path) as fh:
-        assert verify_certificate(Certificate.from_json(fh.read()))[0]
+    texts = _cert_texts(3)
+    texts[(4, 1, 1)] = root.to_json()
+    for layout in LAYOUTS:
+        cache = _make_cache(tmp_path / layout, 3, layout, texts)
+        assert _rerun(cache, 3) == [goal], layout
+
+
+def test_verify_saxl_verifies_each_target_of_the_log_once(tmp_path, monkeypatch):
+    # every line twice: the later copy of a proved target is skipped
+    texts = _cert_texts(3)
+    cache = str(tmp_path / "m3")
+    os.makedirs(cache)
+    with open(prover.log_path(cache, 3), "w") as fh:
+        fh.writelines(text + "\n" for text in list(texts.values()) * 2)
+    seen = []
+    verify = prover.verify_certificate
+    monkeypatch.setattr(prover, "verify_certificate",
+                        lambda cert, **kw: seen.append(cert.goal) or verify(cert, **kw))
+    assert verify_saxl(3, cache_dir=cache)["complete"]
+    assert seen == _goals(texts, 3)
+
+
+def test_verify_saxl_resumes_a_log_cut_inside_a_line(tmp_path, capsys):
+    # a killed run leaves the log cut inside a line: the rerun re-proves the
+    # targets of the lost lines, starting on a fresh line, and a third run
+    # appends nothing
+    cache = str(tmp_path / "m4")
+    assert verify_saxl(4, cache_dir=cache)["complete"]
+    path = prover.log_path(cache, 4)
+    with open(path, "rb") as fh:
+        full = fh.read()
+    lines = full.splitlines(keepends=True)
+    keep = 20
+    cut = b"".join(lines[:keep]) + lines[keep][:40]
+    with open(path, "wb") as fh:
+        fh.write(cut)
+    capsys.readouterr()
+    assert _rerun(cache, 4) == _goals(pt.partitions_of(10)[keep:], 4)
+    with open(path, "rb") as fh:
+        assert fh.read() == cut + b"\n" + b"".join(lines[keep:])
+    err = capsys.readouterr().err.splitlines()
+    assert "line %d: unreadable" % (keep + 1) in err[0]
+    assert err[-1] == ("saxl m=4 cache: %d targets proved from the log, 0 from legacy "
+                       "files, %d in this run; log lines rejected: 1 unreadable"
+                       % (keep, 42 - keep))
+    assert _rerun(cache, 4) == []
+
+
+def test_verify_saxl_opens_no_legacy_file_for_a_target_the_log_proves(
+        tmp_path, monkeypatch, capsys):
+    texts = _cert_texts(4)
+    cache = _make_cache(tmp_path / "m4", 4, "files", texts)
+    in_log = list(texts)[::2]
+    with open(prover.log_path(cache, 4), "w") as fh:
+        fh.writelines(texts[nu] + "\n" for nu in in_log)
+    opened = []
+    monkeypatch.setattr(prover, "open", lambda path, *a: opened.append(path) or open(path, *a),
+                        raising=False)
+    assert _rerun(cache, 4) == []
+    legacy = [p for p in opened if p.endswith(".json")]
+    assert sorted(legacy) == sorted(
+        prover.cache_path(cache, 4, nu) for nu in texts if nu not in in_log)
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "saxl m=4 cache: 21 targets proved from the log, 21 from legacy files, "
+        "0 in this run; log lines rejected: none")
 
 
 def _v_splits_by_subsets(p, s):
