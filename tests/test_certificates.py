@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 
@@ -400,6 +401,19 @@ def test_shared_nodes_still_count_towards_the_depth(shared):
     assert verify_certificate(ct.combine_h(low, deep.children[0])) == (True, "ok")
 
 
+def test_memo_hits_still_count_towards_the_depth():
+    # `low` passes in a first call; a later call meets it in the memo at
+    # depth MAX_DEPTH, where its leaf would lie one level too deep
+    memo = {}
+    low = _conjugate_chain(ct.base_oracle(((1,), (1,), (1,))), 1)
+    assert verify_certificate(ct.combine_h(low, low), memo=memo) == (True, "ok")
+    assert id(low) in memo
+    assert verify_certificate(_conjugate_chain(low, vf.MAX_DEPTH), memo=memo) == (
+        False, "certificate tree too deep")
+    assert verify_certificate(_conjugate_chain(low, vf.MAX_DEPTH - 1), memo=memo) == (
+        True, "ok")
+
+
 def _decode_error(call, arg):
     with pytest.raises(ct.DECODE_ERRORS) as info:
         call(arg)
@@ -445,3 +459,40 @@ _ROW_TWO = ct.base_generalized_dominance((2,), (2,))
 def test_verifier_fails_closed_on_malformed_python_certificates(cert):
     ok, msg = verify_certificate(cert)
     assert not ok and msg
+
+
+def test_decoding_with_a_table_shares_equal_subtrees_only():
+    # equal subtrees below the root decode to one object; a node that
+    # differs in any field, even by 1.0 or true for 1 or by the order of its
+    # meta keys, is another object; roots are never kept
+    leaf = {"kind": "DominanceStaircase", "goal": ["1", "1", "1"], "children": [],
+            "meta": {"m": 1}}
+
+    def wrap(child):
+        return json.dumps({"kind": "Conjugate", "goal": child["goal"], "children": [child],
+                           "meta": {"coords": []}})
+
+    table = {}
+    a = ct.Certificate.from_json(wrap(leaf), table)
+    b = ct.Certificate.from_json(wrap(leaf), table)
+    assert a is not b and a.children[0] is b.children[0]
+    assert len(table) == 1
+    variants = [dict(leaf, meta={"m": m}) for m in (1.0, True, "1")]
+    variants += [dict(leaf, meta={"m": 1, "x": 0}), dict(leaf, meta={"x": 0, "m": 1}),
+                 dict(leaf, kind="Hook"), dict(leaf, goal=["1", "1", "1,0"])]
+    for other in variants:
+        c = ct.Certificate.from_json(wrap(other), table)
+        assert c.children[0] is not a.children[0]
+        assert c.to_json() == ct.Certificate.from_json(wrap(other)).to_json()
+        assert ct.Certificate.from_json(wrap(other), table).children[0] is c.children[0]
+    assert len(table) == 1 + len(variants)
+    # input the key cannot hash decodes unshared, and bad input fails as it
+    # did before nodes were shared: a bad goal before any error below it
+    for doc, error in ((dict(leaf, goal=[["1"], "1", "1"]), AttributeError),
+                       (dict(leaf, goal=["1", "x", "1"], children=[{"goal": []}]), ValueError),
+                       (dict(leaf, children=[dict(leaf, meta=[["m", 1]])], meta=5), TypeError)):
+        for tab in (None, table):
+            with pytest.raises(error):
+                ct.Certificate.from_json(wrap(doc), tab)
+    # of these only the leaf whose meta is given as pairs decodes, and is kept
+    assert len(table) == 1 + len(variants) + 1

@@ -96,6 +96,19 @@ def test_partition_count_matches_enumeration():
         assert pt.partition_count(n) == len(pt.partitions_of(n))
 
 
+def test_partitions_of_is_strictly_decreasing_and_bounded():
+    # reverse lex order is strictly decreasing tuple order, which the saxl
+    # log reader bisects; max_part bounds the first row
+    for n in range(16):
+        for k in (None, 0, 1, 2, n // 2, n, n + 1):
+            parts = pt.partitions_of(n, k)
+            assert list(parts) == sorted(set(parts), reverse=True), (n, k)
+            bound = n if k is None else k
+            assert all(pt.size(p) == n and max(p, default=0) <= bound for p in parts)
+            want = [p for p in pt.partitions_of(n) if max(p, default=0) <= bound]
+            assert list(parts) == want, (n, k)
+
+
 def test_move_neighbors_small():
     nb = pt.move_neighbors((2, 1))
     assert nb == {(3,), (1, 1, 1)}

@@ -1,3 +1,4 @@
+import json
 import os
 from concurrent import futures
 
@@ -278,6 +279,18 @@ def _rerun(cache, m, **kw):
     return [c.goal for c in certs]
 
 
+def _distinct_subtrees(texts):
+    """The number of distinct non-root subtrees of the certificates in
+    texts, told apart by their JSON."""
+    seen = set()
+    todo = [child for text in texts for child in json.loads(text)["children"]]
+    while todo:
+        node = todo.pop()
+        seen.add(json.dumps(node))
+        todo.extend(node["children"])
+    return len(seen)
+
+
 def _goals(nus, m):
     rho = pt.staircase(m)
     return [(nu, rho, rho) for nu in nus]
@@ -443,8 +456,9 @@ def test_verify_saxl_resumes_a_log_cut_inside_a_line(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert "line %d: unreadable" % (keep + 1) in err[0]
     assert err[-1] == ("saxl m=4 cache: %d targets proved from the log, 0 from legacy "
-                       "files, %d in this run; log lines rejected: 1 unreadable"
-                       % (keep, 42 - keep))
+                       "files, %d in this run; log lines rejected: 1 unreadable; distinct "
+                       "sub-certificates verified from the log: %d"
+                       % (keep, 42 - keep, _distinct_subtrees(lines[:keep])))
     assert _rerun(cache, 4) == []
 
 
@@ -464,7 +478,8 @@ def test_verify_saxl_opens_no_legacy_file_for_a_target_the_log_proves(
         prover.cache_path(cache, 4, nu) for nu in texts if nu not in in_log)
     assert capsys.readouterr().err.splitlines()[-1] == (
         "saxl m=4 cache: 21 targets proved from the log, 21 from legacy files, "
-        "0 in this run; log lines rejected: none")
+        "0 in this run; log lines rejected: none; distinct sub-certificates verified "
+        "from the log: %d" % _distinct_subtrees(texts[nu] for nu in in_log))
 
 
 def _v_splits_by_subsets(p, s):
@@ -526,3 +541,76 @@ def test_coord_splits_pair_each_piece_with_its_complement():
                     for _, c in want:
                         assert sum(c) == n - s, (p, s, vertical, c)
                         assert all(a >= b > 0 for a, b in zip(c, c[1:] + (1,))), (p, s, c)
+
+
+def _first_repeated_subtree(docs):
+    """(i, j, path) for the first certificate docs[j] holding, below its
+    root, a subtree that also sits below the root of an earlier docs[i];
+    path leads from docs[j] to that subtree."""
+    first = {}
+    for j, doc in enumerate(docs):
+        todo = [(child, (k,)) for k, child in enumerate(doc["children"])]
+        while todo:
+            node, path = todo.pop()
+            i = first.setdefault(json.dumps(node), j)
+            if i < j:
+                return i, j, path
+            todo.extend((c, path + (k,)) for k, c in enumerate(node["children"]))
+    raise AssertionError("no repeated subtree")
+
+
+def test_verify_saxl_reproves_a_line_that_repeats_a_subtree_with_a_bad_leaf(
+        tmp_path, capsys):
+    # line 2 repeats a subtree of line 1 with the m of one staircase leaf
+    # changed: a table or memo that trusted the subtree by its goal would
+    # take line 2 for proved
+    m = 5
+    texts = _cert_texts(m)
+    nus, docs = list(texts), [json.loads(text) for text in texts.values()]
+    i, j, path = _first_repeated_subtree(docs)
+    node = docs[j]
+    for k in path:
+        node = node["children"][k]
+    while node["children"]:
+        node = node["children"][0]
+    assert node["kind"] == "DominanceStaircase"
+    node["meta"]["m"] += 1
+    cache = _make_cache(tmp_path / "m5", m, "log",
+                        {nus[i]: texts[nus[i]], nus[j]: json.dumps(docs[j])})
+    capsys.readouterr()
+    assert _rerun(cache, m) == _goals([nu for nu in nus if nu != nus[i]], m)
+    err = capsys.readouterr().err.splitlines()
+    assert "line 2: invalid" in err[0] and "staircase of m" in err[0]
+    assert "; log lines rejected: 1 invalid; " in err[-1]
+
+
+def test_verify_saxl_warm_rerun_verifies_each_distinct_subtree_once(tmp_path, capsys):
+    # a cold m=6 run writes the log; a warm rerun over it, or over its lines
+    # in reverse order, proves every target from it, and the memo holds
+    # each distinct sub-certificate once, far fewer than the log's nodes
+    m = 6
+    cache = str(tmp_path / "m6")
+    cold = verify_saxl(m, cache_dir=cache)
+    assert cold["complete"]
+    with open(prover.log_path(cache, m), "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    assert len(lines) == cold["total"] == 792
+    nodes = 0
+    for line in lines:
+        todo = [json.loads(line)]
+        while todo:
+            nodes += 1
+            todo.extend(todo.pop()["children"])
+    distinct = _distinct_subtrees(lines)
+    assert distinct < nodes - len(lines)
+    backwards = str(tmp_path / "backwards")
+    os.makedirs(backwards)
+    with open(prover.log_path(backwards, m), "wb") as fh:
+        fh.writelines(lines[::-1])
+    for warm in (cache, backwards):
+        capsys.readouterr()
+        assert _rerun(warm, m) == []
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "saxl m=6 cache: 792 targets proved from the log, 0 from legacy files, "
+            "0 in this run; log lines rejected: none; distinct sub-certificates "
+            "verified from the log: %d" % distinct)

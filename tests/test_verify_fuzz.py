@@ -6,9 +6,14 @@ perturbed goal rows, another kind), and random JSON shaped like a
 certificate, with huge one-row goals among the rows.  For every input that
 decodes, `verify_certificate` must return (bool, str) without raising, and a
 goal it accepts with n <= 8 must be positive according to the oracle.
+Decoding, with or without a table of shared nodes, must agree with a
+reference copy of the plain decoder.  Sequences of certificates verified over
+one table and one memo, as the saxl log reader verifies its lines, must get
+the verdicts of verifying each certificate alone.
 """
 
 import copy
+import json
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -121,7 +126,28 @@ RANDOM_CERTS = st.recursive(
 )
 
 
+def _decode_reference(d):
+    """The decoder as it was before it could share nodes, kept as the
+    reference for what decoding returns and which error it raises first."""
+    return Certificate(
+        kind=d["kind"],
+        goal=tuple(map(pt.parse_partition, d["goal"])),
+        children=tuple(_decode_reference(c) for c in d["children"]),
+        meta=dict(d.get("meta", {})),
+    )
+
+
+def _outcome(decode, doc):
+    try:
+        return decode(doc).to_json()
+    except DECODE_ERRORS as e:
+        return type(e), str(e)
+
+
 def check_verifier(doc):
+    want = _outcome(_decode_reference, doc)
+    assert _outcome(Certificate.from_dict, doc) == want
+    assert _outcome(lambda d: Certificate.from_dict(d, {}), doc) == want
     try:
         cert = Certificate.from_dict(doc)
     except DECODE_ERRORS:
@@ -152,3 +178,108 @@ def test_verifier_is_total_and_sound_on_mutated_certificates(data):
 @given(st.one_of(RANDOM_CERTS, RANDOM_CERTS, JSON))
 def test_verifier_is_total_and_sound_on_random_json(doc):
     check_verifier(doc)
+
+
+# One decoding table and one verifier memo over a sequence of certificates,
+# as the saxl log reader keeps them, must give the verdicts of verifying each
+# certificate alone.  Later certificates of a sequence reuse the subtrees of
+# earlier ones with one field changed, so that a table or memo that told two
+# such nodes apart by less than their full content would trust the wrong one.
+
+SHARED = [
+    cert.to_dict()
+    for m in (5, 6)
+    for cert in (prove_in_staircase_square(m, nu) for nu in pt.partitions_of(pt.triangular(m)))
+    if any(child.children or child.meta for child in cert.children)
+]
+
+
+# a field changed before may hold anything: it is then changed from a default
+
+
+def _change_m(data, node):
+    m = node["meta"]["m"]
+    m = m if type(m) is int else 2
+    node["meta"]["m"] = data.draw(st.sampled_from([m + 1, float(m), str(m), True]))
+
+
+def _change_coefficient(data, node):
+    c = node["meta"]["coefficient"]
+    c = int(c) if type(c) is str and c.isdigit() else 1
+    node["meta"]["coefficient"] = data.draw(
+        st.sampled_from(["0", str(c + 1), c, float(c), "%d.0" % c]))
+
+
+def _change_vertical(data, node):
+    node["meta"]["vertical"] = data.draw(
+        st.sampled_from([[0, 1], [0, 2], [1, 2], [], [1, 2, 2], [1.0, 2], [2, 1]]))
+
+
+def _change_kind(data, node):
+    node["kind"] = data.draw(st.sampled_from([k for k in KINDS if k != node["kind"]]))
+
+
+# field -> (does a node have it, how to change it)
+CHANGES = {
+    "goal": (lambda node: True, _perturb_goal),
+    "m": (lambda node: "m" in node["meta"], _change_m),
+    "coefficient": (lambda node: "coefficient" in node["meta"], _change_coefficient),
+    "vertical": (lambda node: "vertical" in node["meta"], _change_vertical),
+    "kind": (lambda node: True, _change_kind),
+}
+
+
+def _changed_copy(data, doc):
+    """doc with one field of one node below the root changed, or None when
+    no such node has the field drawn."""
+    doc = copy.deepcopy(doc)
+    has, change = CHANGES[data.draw(st.sampled_from(sorted(CHANGES)))]
+    nodes = [node for node in _nodes(doc)[1:] if has(node)]
+    if not nodes:
+        return None
+    change(data, data.draw(st.sampled_from(nodes)))
+    return doc
+
+
+def _decode(text, table=None):
+    try:
+        return Certificate.from_json(text, table), None
+    except DECODE_ERRORS as e:
+        return None, (type(e), str(e))
+
+
+@settings(FUZZ, max_examples=300)
+@given(st.data())
+def test_one_table_and_memo_give_the_verdicts_of_independent_verification(data):
+    docs = []
+    for _ in range(data.draw(st.integers(2, 8))):
+        doc = None
+        if docs and data.draw(st.booleans()):
+            doc = _changed_copy(data, data.draw(st.sampled_from(docs)))
+        docs.append(doc or data.draw(st.sampled_from(SHARED)))
+    table, memo = {}, {}
+    for doc in docs:
+        text = json.dumps(doc)
+        shared, error = _decode(text, table)
+        alone, want_error = _decode(text)
+        assert error == want_error
+        if alone is not None:
+            assert shared.to_json() == alone.to_json()
+            assert verify_certificate(shared, memo=memo) == verify_certificate(alone)
+
+
+def test_memo_does_not_trust_a_new_object_where_a_passed_one_was():
+    # a memo that kept ids without their nodes would see a freed node's id
+    # again on the next certificate of its size, and trust it
+    memo = {}
+    goal = ((3,), (2, 1), (2, 1))
+    for _ in range(50):
+        leaf = Certificate("DominanceStaircase", goal, meta={"m": 2})
+        assert verify_certificate(Certificate("Conjugate", goal, (leaf,), {"coords": []}),
+                                  memo=memo) == (True, "ok")
+        del leaf
+        bad = Certificate("DominanceStaircase", goal, meta={"m": 3})
+        ok, msg = verify_certificate(Certificate("Conjugate", goal, (bad,), {"coords": []}),
+                                     memo=memo)
+        assert not ok and "staircase of m" in msg
+    assert len(memo) == 50
