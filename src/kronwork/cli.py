@@ -47,6 +47,13 @@ def _add_oracle_ceiling(sub):
     sub.add_argument("--oracle-ceiling", type=int, default=ch.DEFAULT_ORACLE_CEILING)
 
 
+def _nonnegative(name, value):
+    """Turn away a negative count, which would read as zero or as a default."""
+    if value < 0:
+        raise ValueError("%s must be nonnegative, not %d" % (name, value))
+    return value
+
+
 def _cmd_kron(args):
     factors = []
     if args.factors:
@@ -77,9 +84,8 @@ def _cmd_support(args):
 
 def _cmd_prove(args):
     nu = pt.parse_partition(args.nu)
-    cert = prove_in_staircase_square(
-        args.m, nu, budget=Budget(args.budget), ceiling=args.oracle_ceiling
-    )
+    budget = Budget(_nonnegative("budget", args.budget))
+    cert = prove_in_staircase_square(args.m, nu, budget=budget, ceiling=args.oracle_ceiling)
     doc = {
         "m": args.m,
         "nu": pt.format_partition(nu),
@@ -98,9 +104,9 @@ def _cmd_saxl(args):
         args.m,
         cache_dir=args.cache or os.environ.get(CACHE_ENV),
         ceiling=args.oracle_ceiling,
-        budget_nodes=args.budget,
+        budget_nodes=_nonnegative("budget", args.budget),
         progress=True,
-        threads=args.threads or os.cpu_count() or 1,
+        threads=_nonnegative("threads", args.threads) or os.cpu_count() or 1,
     )
 
 

@@ -10,12 +10,17 @@ from operator import lt
 
 
 def check_partition(parts):
-    """Validate and normalize an iterable of row lengths into a partition."""
-    rows = tuple(filter(None, map(int, parts)))
+    """Validate and normalize an iterable of row lengths into a partition.
+
+    Zero rows may only trail, and are dropped: (3, 0, 3) is turned away.
+    """
+    rows = tuple(map(int, parts))
     if min(rows, default=0) < 0:
         raise ValueError("negative row length")
     if any(map(lt, rows, rows[1:])):
         raise ValueError("rows must be weakly decreasing: %r" % (rows,))
+    if rows and not rows[-1]:
+        rows = rows[:rows.index(0)]
     return rows
 
 
@@ -41,13 +46,18 @@ def from_rows(rows):
 
 
 def conjugate(lam):
-    if not lam:
-        return ()
+    """The conjugate partition, in O(len(lam) + lam[0]).
+
+    Reading the rows from the bottom, the lam[i] - lam[i + 1] columns past
+    row i + 1 have height i + 1; trailing zero rows add none.
+    """
     cols = []
-    for height in range(1, lam[0] + 1):
-        # number of rows of length >= height
-        cols.append(sum(1 for r in lam if r >= height))
-    return tuple(reversed(sorted(cols)))
+    below = 0
+    for height in range(len(lam), 0, -1):
+        width = lam[height - 1]
+        cols += [height] * (width - below)
+        below = width
+    return tuple(cols)
 
 
 def from_columns(cols):
@@ -249,7 +259,8 @@ def partition_count(n):
     return _pentagonal_table(n)[n]
 
 
-@lru_cache(maxsize=None)
+# one table of n + 1 counts per n: a few sizes are in use at a time
+@lru_cache(maxsize=16)
 def _pentagonal_table(n):
     p = [0] * (n + 1)
     p[0] = 1

@@ -5,7 +5,7 @@ import os
 import sys
 from contextlib import ExitStack
 from functools import lru_cache, partial
-from itertools import groupby, repeat, zip_longest
+from itertools import accumulate, groupby, repeat, zip_longest
 
 from . import partitions as pt
 from . import characters as ch
@@ -324,25 +324,32 @@ def _pack_search(m, nu, recipe, budget, ceiling, depth):
 
 def _h_splits(p, s):
     """Partitions mu of size s, no longer than p and at most p row by row,
-    whose rowwise remainder p - mu is a partition with first row at most s.
+    whose rowwise remainder p - mu is a partition with first row at most s,
+    in strictly decreasing tuple order.
 
     That bound drops some horizontal splits: `_h_splits((3,), 1)` is empty.
     Lifting it to p's first row changed 3 of 300 sampled m = 8
     certificates and made the pipeline about ten times slower, so the
     chunk search keeps it.
+
+    The walk gives each row of mu at least one box, as a zero row could
+    only be followed by zeros, and turns back once the boxes left exceed
+    what the rows left can take: their sum, and the last row of mu times
+    their number.
     """
     out = []
     rows = list(p)
+    room = list(accumulate(reversed(rows)))[::-1] + [0]
 
     def rec(i, left, prev_mu, prev_rest, acc):
         if left == 0:
             if i == len(rows) or rows[i] <= prev_rest:
-                out.append(tuple(x for x in acc if x > 0))
+                out.append(tuple(acc))
             return
-        if i == len(rows):
+        if left > room[i] or left > prev_mu * (len(rows) - i):
             return
         hi = min(rows[i], prev_mu, left)
-        lo = max(0, rows[i] - prev_rest)
+        lo = max(1, rows[i] - prev_rest)
         for v in range(hi, lo - 1, -1):
             acc.append(v)
             rec(i + 1, left - v, v, rows[i] - v, acc)
@@ -400,7 +407,16 @@ _VERTICAL_PATTERNS = ((), (0, 1), (0, 2), (1, 2))
 
 def _chunk_search(goal, budget, ceiling):
     """Peel oracle-sized pieces off all three coordinates, biggest first,
-    over the triple splits of `_walk_pairs`."""
+    over the triple splits of `_walk_pairs`.
+
+    Each pair is checked cheapest first: a one-row or one-column piece
+    against its pairing rule; a leaf-sized rest (n - t at most the
+    ceiling) by its oracle leaf, which is most often zero; the piece by its
+    oracle leaf; and a bigger rest by this search.  A pair is taken only
+    when every check passes, so the order of the checks changes neither
+    the first pair taken nor its certificate; nodes are charged per pair
+    in `_walk_pairs`, before any check, so it leaves them unchanged too.
+    """
     memo = set()
 
     def rec(goal):
@@ -412,6 +428,7 @@ def _chunk_search(goal, budget, ceiling):
         for vertical in _VERTICAL_PATTERNS:
             vflags = [c in vertical for c in range(3)]
             for t in range(min(ceiling, n - 1), 0, -1):
+                leaf_sized = n - t <= ceiling
                 for p0, c0 in _coord_splits(goal[0], t, vflags[0]):
                     for piece, rest in _walk_pairs(goal, t, vflags, p0, c0, budget):
                         _, p1, p2 = piece
@@ -423,15 +440,21 @@ def _chunk_search(goal, budget, ceiling):
                         elif t > 1 and p0 == (1,) * t:
                             if p2 != pt.conjugate(p1):
                                 continue
+                        if leaf_sized:
+                            tail = _oracle_leaf(rest, ceiling)
+                            if tail is None:
+                                continue
                         leaf = _oracle_leaf(piece, ceiling)
                         if leaf is None:
                             continue
-                        tail = rec(rest)
-                        if tail is not None:
-                            cert = combine_vvh(leaf, tail, vertical)
-                            if cert.goal != goal:
-                                raise AssertionError("chunk assembly mismatch")
-                            return cert
+                        if not leaf_sized:
+                            tail = rec(rest)
+                            if tail is None:
+                                continue
+                        cert = combine_vvh(leaf, tail, vertical)
+                        if cert.goal != goal:
+                            raise AssertionError("chunk assembly mismatch")
+                        return cert
                     if budget.exhausted:
                         return None
         memo.add(goal)

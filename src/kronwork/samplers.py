@@ -30,7 +30,8 @@ class SeededRng(random.Random):
 # exact samplers
 
 
-@lru_cache(maxsize=None)
+# like partitions._pentagonal_table, one table per n in use
+@lru_cache(maxsize=16)
 def _sigma_table(n):
     """Divisor sums sigma(1), ..., sigma(n) by a sieve."""
     sig = [0] * (n + 1)

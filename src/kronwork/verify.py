@@ -44,7 +44,8 @@ def _conj(p):
     """Conjugate of the partition p, in O(len(p) + p[0]).
 
     Reading the rows from the bottom, the p[i] - p[i + 1] columns past row
-    i + 1 have height i + 1.
+    i + 1 have height i + 1.  `partitions.conjugate` reads them the same
+    way; this copy stays so that no check rests on the search code.
     """
     rev = p[::-1]
     widths = map(sub, rev, chain((0,), rev))

@@ -1,11 +1,14 @@
+import importlib
 import itertools
 import math
+import pkgutil
 import random
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
+import kronwork
 from kronwork import characters as ch
 from kronwork import partitions as pt
 
@@ -214,3 +217,16 @@ def test_character_caches_are_bounded_and_hold_the_default_ceiling():
     for name, f in caches.items():
         info = f.cache_info()
         assert info.currsize < info.maxsize, name
+
+
+def test_no_kronwork_module_keeps_an_unbounded_cache():
+    # an lru_cache with maxsize=None grows for the life of the process
+    found = {}
+    for info in pkgutil.iter_modules(kronwork.__path__):
+        module = importlib.import_module("kronwork." + info.name)
+        for name, f in vars(module).items():
+            if hasattr(f, "cache_parameters"):
+                found["%s.%s" % (info.name, name)] = f.cache_parameters()["maxsize"]
+    assert set(found) >= {"characters._mn", "partitions._pentagonal_table",
+                          "prover._cached_oracle", "samplers._sigma_table"}
+    assert sorted(name for name, maxsize in found.items() if maxsize is None) == []

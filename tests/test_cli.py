@@ -216,6 +216,30 @@ def test_bad_counts_fail_closed(capsys, argv, why):
     assert captured.err == "error: %s\n" % why
 
 
+@pytest.mark.parametrize("argv, why", [
+    (["saxl", "--m", "2", "--threads", "-2"], "threads must be nonnegative, not -2"),
+    (["saxl", "--m", "2", "--budget", "-5"], "budget must be nonnegative, not -5"),
+    (["prove", "--m", "2", "--nu", "2,1", "--budget", "-5"],
+     "budget must be nonnegative, not -5"),
+    (["prove", "--m", "3", "--nu", "3,0,3"], "rows must be weakly decreasing: (3, 0, 3)"),
+], ids=["saxl-threads", "saxl-budget", "prove-budget", "prove-zero-row"])
+def test_bad_prover_inputs_fail_closed(capsys, argv, why):
+    # each used to exit 0: a negative thread count ran serially, a negative
+    # budget acted as none, and 3,0,3 was read as (3, 3) and proved
+    assert cli.dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % why
+
+
+def test_zero_budget_is_valid(capsys, monkeypatch):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    code, doc = run(capsys, "prove", "--m", "2", "--nu", "2,1", "--budget", "0")
+    assert code == 0 and doc["found"] is True
+    code, doc = run(capsys, "saxl", "--m", "2", "--budget", "0", "--threads", "1")
+    assert code == 0 and doc["complete"] is True
+
+
 def test_distance(capsys):
     code, doc = run(capsys, "distance", "--lambda", "3,1", "--mu", "2,2")
     assert code == 0

@@ -23,9 +23,36 @@ def test_check_partition_rejects_bad_input():
     assert pt.check_partition((2, 0)) == (2,)
 
 
+def test_check_partition_rejects_a_zero_row_before_a_positive_one():
+    # the zeros used to be dropped before the order was checked, so
+    # `kronwork prove --m 3 --nu 3,0,3` proved (3, 3)
+    for rows in ((3, 0, 3), (0, 1), (2, 0, 1, 0)):
+        with pytest.raises(ValueError):
+            pt.check_partition(rows)
+    with pytest.raises(ValueError):
+        pt.parse_partition("3,0,3")
+    assert pt.check_partition((2, 2, 0, 0)) == (2, 2)
+    assert pt.check_partition((0,)) == ()
+
+
+def _conjugate_by_column_counts(lam):
+    """Reference for `conjugate`: column j has one box for each row of
+    length at least j."""
+    return tuple(sum(1 for r in lam if r >= j) for j in range(1, max(lam, default=0) + 1))
+
+
+def test_conjugate_matches_the_column_counts():
+    for n in range(21):
+        for lam in pt.partitions_of(n):
+            want = _conjugate_by_column_counts(lam)
+            assert pt.conjugate(lam) == want, lam
+            assert pt.conjugate(lam + (0,) * (1 + n % 3)) == want, lam
+            assert pt.conjugate(want) == lam, lam
+
+
 def test_from_columns_reads_shuffled_column_heights():
     rng = random.Random(7)
-    for n in range(13):
+    for n in range(21):
         for lam in pt.partitions_of(n):
             cols = list(pt.conjugate(lam))
             rng.shuffle(cols)

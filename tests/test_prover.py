@@ -543,6 +543,118 @@ def test_coord_splits_pair_each_piece_with_its_complement():
                         assert all(a >= b > 0 for a, b in zip(c, c[1:] + (1,))), (p, s, c)
 
 
+def test_h_splits_match_the_brute_force_in_decreasing_order():
+    # the walk skips zero rows and turns back early: neither may lose a
+    # split or change the order the chunk search meets them in
+    for n in range(1, 15):
+        for p in pt.partitions_of(n):
+            for s in range(1, n):
+                got = _h_splits(p, s)
+                assert got == _h_splits_by_brute_force(p, s), (p, s)
+                assert all(a > b for a, b in zip(got, got[1:])), (p, s)
+
+
+# The chunk search as it was when it looked up the piece before a leaf-sized
+# rest, kept as reference code: the same pairs, oracle leaves and recursion.
+
+
+def _chunk_search_piece_first(goal, budget, ceiling):
+    memo = set()
+
+    def rec(goal):
+        n = pt.size(goal[0])
+        if n <= ceiling:
+            return prover._oracle_leaf(goal, ceiling)
+        if goal in memo:
+            return None
+        for vertical in prover._VERTICAL_PATTERNS:
+            vflags = [c in vertical for c in range(3)]
+            for t in range(min(ceiling, n - 1), 0, -1):
+                for p0, c0 in _coord_splits(goal[0], t, vflags[0]):
+                    for piece, rest in prover._walk_pairs(goal, t, vflags, p0, c0, budget):
+                        _, p1, p2 = piece
+                        if p0 == (t,):
+                            if p1 != p2:
+                                continue
+                        elif t > 1 and p0 == (1,) * t:
+                            if p2 != pt.conjugate(p1):
+                                continue
+                        leaf = prover._oracle_leaf(piece, ceiling)
+                        if leaf is None:
+                            continue
+                        tail = rec(rest)
+                        if tail is not None:
+                            cert = combine_vvh(leaf, tail, vertical)
+                            assert cert.goal == goal
+                            return cert
+                    if budget.exhausted:
+                        return None
+        memo.add(goal)
+        return None
+
+    return rec(goal)
+
+
+def test_chunk_search_matches_the_piece_first_order(monkeypatch):
+    goals = []
+    search = prover._chunk_search
+
+    def record(goal, budget, ceiling):
+        goals.append(goal)
+        return search(goal, budget, ceiling)
+
+    monkeypatch.setattr(prover, "_chunk_search", record)
+    for m in range(1, 7):
+        for nu in pt.partitions_of(pt.triangular(m)):
+            prove_in_staircase_square(m, nu)
+    monkeypatch.setattr(prover, "_chunk_search", search)
+    assert len(goals) > 50
+
+    # each pair the walk yields, with the oracle lookups made while it is
+    # the latest pair
+    pairs = []
+    walk, oracle_leaf = prover._walk_pairs, prover._oracle_leaf
+
+    def walk_pairs(*args):
+        for piece, rest in walk(*args):
+            pairs.append((rest, []))
+            yield piece, rest
+
+    def lookup(goal, ceiling):
+        if pairs:
+            pairs[-1][1].append(goal)
+        return oracle_leaf(goal, ceiling)
+
+    monkeypatch.setattr(prover, "_walk_pairs", walk_pairs)
+    monkeypatch.setattr(prover, "_oracle_leaf", lookup)
+
+    def zero_rest_pieces():
+        """Lookups beyond the rest's own, over the pairs whose leaf-sized
+        rest has a zero coefficient, and the number of those pairs."""
+        extra = zeros = 0
+        for rest, looked in pairs:
+            if pt.size(rest[0]) <= ceiling and oracle_leaf(rest, ceiling) is None:
+                zeros += 1
+                extra += looked not in ([], [rest])
+        pairs.clear()
+        return extra, zeros
+
+    ceiling = ch.DEFAULT_ORACLE_CEILING
+    skipped = wasted = 0
+    for goal in goals:
+        budget, ref_budget = Budget(60000), Budget(60000)
+        cert = prover._chunk_search(goal, budget, ceiling)
+        extra, zeros = zero_rest_pieces()
+        assert extra == 0, goal
+        skipped += zeros
+        ref = _chunk_search_piece_first(goal, ref_budget, ceiling)
+        wasted += zero_rest_pieces()[0]
+        assert (cert and cert.to_json()) == (ref and ref.to_json()), goal
+        assert budget.nodes == ref_budget.nodes, goal
+    # the reference looks up pieces whose rest already rules the pair out
+    assert skipped > 0 and wasted > 0
+
+
 def _first_repeated_subtree(docs):
     """(i, j, path) for the first certificate docs[j] holding, below its
     root, a subtree that also sits below the root of an earlier docs[i];
