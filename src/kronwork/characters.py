@@ -3,20 +3,25 @@
 Characters come from the rim-hook (Murnaghan-Nakayama) recursion on beta
 sets stored as int bitmasks, one bit per bead, so that removing a rim hook is
 two bit flips and its height a bit count; everything is integer arithmetic.
+A shape's row of characters over all the classes of n is built one block of
+classes at a time: the classes with first part t are (t,) + sigma, so the
+block is a signed sum of the tails of the rows of the shapes left after
+removing each rim hook of length t.
 """
 
 import math
 import operator
 from functools import lru_cache
+from itertools import groupby
 
 from .partitions import conjugate, partitions_of, size
 
 DEFAULT_ORACLE_CEILING = 14
 
 # Bounds of the character caches.  The whole character table of every
-# n <= DEFAULT_ORACLE_CEILING fills 4,067 `_mn` entries, 508 rows and 15
-# class-size tuples, so the default oracle never evicts an entry.
-_MN_CACHE = 1 << 13
+# n <= DEFAULT_ORACLE_CEILING fills 508 rows per beta mask, 508 per shape,
+# 15 class-size tuples and 14 block layouts, so the default oracle never
+# evicts an entry.
 _ROW_CACHE = 1024
 _CLASS_CACHE = 64
 
@@ -54,44 +59,19 @@ def _beta_mask(lam):
     return mask
 
 
-def _rim_hook_sum(mask, rho):
-    """chi(rho) for the shape whose canonical beta mask is mask.
-
-    Removing a rim hook of length t moves a bead b of the beta set to an
-    empty position b - t: two bit flips.  Its sign is (-1)^height, where the
-    height is the number of beads strictly between b - t and b.  The
-    characters of the remainders come from `_mn`, memoised on (mask, rho).
-    """
-    if not rho:
-        return 1
-    t = rho[0]
-    rest = rho[1:]
-    total = 0
-    # beads b >= t whose position b - t is empty
-    movable = (mask & ~(mask << t)) >> t << t
-    while movable:
-        bead = movable & -movable
-        movable ^= bead
-        hole = bead >> t
-        sub = mask ^ bead ^ hole
-        if hole == 1:
-            # bead moved to position 0: strip the low run of 1-bits
-            sub >>= ((~sub) & (sub + 1)).bit_length() - 1
-        if (mask & (bead - 1) & -(hole << 1)).bit_count() & 1:
-            total -= _mn(sub, rest)
-        else:
-            total += _mn(sub, rest)
-    return total
-
-
-_mn = lru_cache(maxsize=_MN_CACHE)(_rim_hook_sum)
-
-
 def character(lam, rho):
-    """Value of the irreducible character of shape lam on class rho."""
-    if size(lam) != size(rho):
+    """Value of the irreducible character of shape lam on class rho.
+
+    rho is a cycle type, a multiset: its parts may come in any order, and
+    zero parts are dropped.
+    """
+    if any(part < 0 for part in rho):
+        raise ValueError("character: negative part in %r" % (rho,))
+    rho = tuple(sorted((part for part in rho if part), reverse=True))
+    n = size(lam)
+    if size(rho) != n:
         raise ValueError("character: size mismatch")
-    return _mn(_beta_mask(lam), tuple(rho))
+    return _char_row(lam)[partitions_of(n).index(rho)]
 
 
 def dimension(lam):
@@ -111,15 +91,56 @@ def _class_sizes(n):
     return tuple(class_size(rho) for rho in partitions_of(n))
 
 
+@lru_cache(maxsize=_CLASS_CACHE)
+def _class_blocks(n):
+    """(t, count) for each first part t of the classes of n, in
+    `partitions_of(n)` order: t runs from n down to 1."""
+    return tuple((t, len(list(run))) for t, run in
+                 groupby(partitions_of(n), key=operator.itemgetter(0)))
+
+
+@lru_cache(maxsize=_ROW_CACHE)
+def _mask_row(mask, n):
+    """chi(rho) for each rho of n, in `partitions_of(n)` order, for the
+    shape of n whose canonical beta mask is mask.
+
+    The classes with first part t are (t,) + sigma, where sigma runs over
+    the last `count` classes of n - t, those with parts at most t.  Removing
+    a rim hook of length t moves a bead b of the beta set to an empty
+    position b - t: two bit flips.  Its sign is (-1)^height, where the
+    height is the number of beads strictly between b - t and b.  So the
+    block is the signed sum, over those beads, of the last `count` entries
+    of each remainder's row.
+    """
+    if n == 0:
+        return (1,)
+    row = []
+    for t, count in _class_blocks(n):
+        block = None
+        # beads b >= t whose position b - t is empty
+        movable = (mask & ~(mask << t)) >> t << t
+        while movable:
+            bead = movable & -movable
+            movable ^= bead
+            hole = bead >> t
+            sub = mask ^ bead ^ hole
+            if hole == 1:
+                # bead moved to position 0: strip the low run of 1-bits
+                sub >>= ((~sub) & (sub + 1)).bit_length() - 1
+            odd = (mask & (bead - 1) & -(hole << 1)).bit_count() & 1
+            tail = _mask_row(sub, n - t)[-count:]
+            if block is None:
+                block = list(map(operator.neg, tail)) if odd else tail
+            else:
+                block = list(map(operator.sub if odd else operator.add, block, tail))
+        row += block or [0] * count
+    return tuple(row)
+
+
 @lru_cache(maxsize=_ROW_CACHE)
 def _char_row(lam):
-    """chi^lam(rho) for each rho, in `partitions_of(|lam|)` order.
-
-    The row is cached whole, so its own values skip `_mn`: only the rim-hook
-    remainders, which rows share, are memoised.
-    """
-    mask = _beta_mask(lam)
-    return tuple(_rim_hook_sum(mask, rho) for rho in partitions_of(size(lam)))
+    """chi^lam(rho) for each rho, in `partitions_of(|lam|)` order."""
+    return _mask_row(_beta_mask(lam), size(lam))
 
 
 def multi_kronecker(factors, ceiling=DEFAULT_ORACLE_CEILING):
@@ -129,9 +150,8 @@ def multi_kronecker(factors, ceiling=DEFAULT_ORACLE_CEILING):
     with k = 3 it is the usual Kronecker coefficient.  The sum is one exact
     dot product of the class sizes of S_n with the factors' character rows;
     both are cached, per n and per shape, the first time they are needed.
-    A row is filled by the Murnaghan-Nakayama recursion on the shape's beta
-    set bitmask, memoised on (mask, class), so shapes of one n share the
-    characters of their smaller rim-hook remainders.
+    A row is built block by block from the rows of its rim-hook
+    remainders (`_mask_row`), which shapes of one n share.
     """
     factors = tuple(tuple(f) for f in factors)
     if not factors:
@@ -193,6 +213,8 @@ def saxl_exception_scan(n, ceiling=DEFAULT_ORACLE_CEILING):
     Returns a dict lam -> sorted tuple of missing nu (empty when the square
     of lam contains every irreducible).
     """
+    if n < 0:
+        raise ValueError("n must be non-negative, got %d" % n)
     out = {}
     for lam in partitions_of(n):
         support = tensor_square_support(lam, ceiling)

@@ -103,14 +103,14 @@ def _prove(m, nu, budget, ceiling, depth, allow_flip):
         cert = deal_grid(m, cols, deal)
         if cert is not None:
             return cert
-    for recipe in _split_recipes(m):
-        cert = _pack_search(m, nu, recipe, budget, ceiling, depth)
+    for layout in _pack_layouts(m):
+        cert = _pack_search(m, nu, cols, layout, budget, ceiling, depth)
         if cert is not None:
             return cert
         if budget.exhausted:
             break
     if allow_flip:
-        flipped = _prove(m, pt.conjugate(nu), budget, ceiling, depth, False)
+        flipped = _prove(m, cols, budget, ceiling, depth, False)
         if flipped is not None:
             return conjugate_cert(flipped, (0, 1))
     rho = pt.staircase(m)
@@ -240,10 +240,22 @@ def _split_recipes(m):
                 yield pt.layer_step(("stair", x), k, y, zs)
 
 
-def _pack_search(m, nu, recipe, budget, ceiling, depth):
-    flat = pt.recipe_sides(recipe)
-    caps = [pt.triangular(s) for s in flat]
-    cols = list(pt.conjugate(nu))
+@lru_cache(maxsize=256)
+def _pack_layouts(m):
+    """(recipe, sides, caps) for each split of `_split_recipes(m)`, in
+    order: the staircase sides of its pieces in fold order, and their
+    sizes."""
+    layouts = []
+    for recipe in _split_recipes(m):
+        sides = tuple(pt.recipe_sides(recipe))
+        layouts.append((recipe, sides, tuple(pt.triangular(s) for s in sides)))
+    return tuple(layouts)
+
+
+def _pack_search(m, nu, cols, layout, budget, ceiling, depth):
+    """Pack the columns `cols` of nu into the pieces of one layout of
+    `_pack_layouts(m)`."""
+    recipe, flat, caps = layout
     bins = [[] for _ in flat]
     remaining = list(caps)
     failed = set()
@@ -406,16 +418,19 @@ _VERTICAL_PATTERNS = ((), (0, 1), (0, 2), (1, 2))
 
 
 def _chunk_search(goal, budget, ceiling):
-    """Peel oracle-sized pieces off all three coordinates, biggest first,
-    over the triple splits of `_walk_pairs`.
+    """Peel oracle-sized pieces off all three coordinates, biggest first.
 
-    Each pair is checked cheapest first: a one-row or one-column piece
-    against its pairing rule; a leaf-sized rest (n - t at most the
-    ceiling) by its oracle leaf, which is most often zero; the piece by its
-    oracle leaf; and a bigger rest by this search.  A pair is taken only
-    when every check passes, so the order of the checks changes neither
-    the first pair taken nor its certificate; nodes are charged per pair
-    in `_walk_pairs`, before any check, so it leaves them unchanged too.
+    The walk takes, for each pattern of vertical coordinates and each
+    piece size t, every triple of splits of the three coordinates, and
+    charges one node per pair (piece, rest) before any check.  Each pair is
+    checked cheapest first: a one-row or one-column piece against its
+    pairing rule; a leaf-sized rest (n - t at most the ceiling) by its
+    oracle leaf, which is most often zero; the piece by its oracle leaf;
+    and a bigger rest by this search.  A pair is taken only when every
+    check passes, so the order of the checks changes neither the first
+    pair taken nor its certificate, nor the nodes charged.  What depends
+    only on the first coordinate's split, or on the second's, is worked
+    out once for it.
     """
     memo = set()
 
@@ -426,51 +441,46 @@ def _chunk_search(goal, budget, ceiling):
         if goal in memo:
             return None
         for vertical in _VERTICAL_PATTERNS:
-            vflags = [c in vertical for c in range(3)]
+            v0, v1, v2 = (c in vertical for c in range(3))
             for t in range(min(ceiling, n - 1), 0, -1):
                 leaf_sized = n - t <= ceiling
-                for p0, c0 in _coord_splits(goal[0], t, vflags[0]):
-                    for piece, rest in _walk_pairs(goal, t, vflags, p0, c0, budget):
-                        _, p1, p2 = piece
-                        # one-row and one-column pieces pair up by the
-                        # trivial and sign characters, skip the oracle
-                        if p0 == (t,):
-                            if p1 != p2:
+                for p0, c0 in _coord_splits(goal[0], t, v0):
+                    # one-row and one-column pieces pair up by the trivial
+                    # and sign characters, skip the oracle
+                    one_row = p0 == (t,)
+                    one_col = not one_row and t > 1 and p0 == (1,) * t
+                    splits2 = _coord_splits(goal[2], t, v2)
+                    for p1, c1 in _coord_splits(goal[1], t, v1):
+                        want = p1 if one_row else pt.conjugate(p1) if one_col else None
+                        for p2, c2 in splits2:
+                            if not budget.spend():
+                                return None
+                            if want is not None and p2 != want:
                                 continue
-                        elif t > 1 and p0 == (1,) * t:
-                            if p2 != pt.conjugate(p1):
+                            # t and a leaf-sized n - t are within the
+                            # ceiling, so the oracle cache takes them as is
+                            rest = (c0, c1, c2)
+                            if leaf_sized:
+                                tail = _cached_oracle(rest, ceiling)
+                                if tail is None:
+                                    continue
+                            leaf = _cached_oracle((p0, p1, p2), ceiling)
+                            if leaf is None:
                                 continue
-                        if leaf_sized:
-                            tail = _oracle_leaf(rest, ceiling)
-                            if tail is None:
-                                continue
-                        leaf = _oracle_leaf(piece, ceiling)
-                        if leaf is None:
-                            continue
-                        if not leaf_sized:
-                            tail = rec(rest)
-                            if tail is None:
-                                continue
-                        cert = combine_vvh(leaf, tail, vertical)
-                        if cert.goal != goal:
-                            raise AssertionError("chunk assembly mismatch")
-                        return cert
+                            if not leaf_sized:
+                                tail = rec(rest)
+                                if tail is None:
+                                    continue
+                            cert = combine_vvh(leaf, tail, vertical)
+                            if cert.goal != goal:
+                                raise AssertionError("chunk assembly mismatch")
+                            return cert
                     if budget.exhausted:
                         return None
         memo.add(goal)
         return None
 
     return rec(goal)
-
-
-def _walk_pairs(goal, s, vflags, p0, c0, budget):
-    """Every (left, right) pair of triples that extends the split p0 | c0,
-    one node each."""
-    for p1, c1 in _coord_splits(goal[1], s, vflags[1]):
-        for p2, c2 in _coord_splits(goal[2], s, vflags[2]):
-            if not budget.spend():
-                return
-            yield (p0, p1, p2), (c0, c1, c2)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,28 @@ def test_character_known_values():
     assert ch.character((1, 1, 1), (2, 1)) == -1
 
 
+def test_character_takes_a_class_as_a_multiset():
+    # a cycle type is a multiset of cycle lengths: zero parts are no cycles
+    # and the order is immaterial; (2, 1, 0) once read as 0 for the trivial
+    assert ch.character((3,), (2, 1, 0)) == 1
+    assert ch.character((2, 1), (0, 3)) == -1
+    assert ch.character((3, 2), (1, 2, 2)) == ch.character((3, 2), (2, 2, 1)) == 1
+    assert ch.character((1, 1, 1), (1, 2)) == -1
+    assert ch.character((), ()) == ch.character((), (0, 0)) == 1
+
+
+@pytest.mark.parametrize("rho", [(4, -1), (-1, 4), (2, 2, -1)])
+def test_character_rejects_a_negative_part(rho):
+    # (4, -1) sums to 3 and once read as 0 on (3,)
+    with pytest.raises(ValueError):
+        ch.character((3,), rho)
+
+
+def test_character_rejects_a_size_mismatch():
+    with pytest.raises(ValueError):
+        ch.character((3,), (2, 2))
+
+
 @given(partitions())
 def test_dimension_matches_hook_lengths(lam):
     assert ch.dimension(lam) == hook_dimension(lam)
@@ -136,7 +158,7 @@ def reference_character(lam, rho):
 
 
 def test_characters_match_the_tuple_recursion():
-    for n in range(13):
+    for n in range(ch.DEFAULT_ORACLE_CEILING + 1):
         classes = pt.partitions_of(n)
         for lam in classes:
             want = tuple(reference_character(lam, rho) for rho in classes)
@@ -205,7 +227,7 @@ def test_character_caches_are_bounded_and_hold_the_default_ceiling():
     # and so do the partitions they enumerate
     caches = {name: f for name, f in vars(ch).items()
               if hasattr(f, "cache_parameters") and f.__module__ == ch.__name__}
-    assert set(caches) >= {"_mn", "_char_row", "_class_sizes"}
+    assert set(caches) >= {"_mask_row", "_char_row", "_class_sizes"}
     caches["partitions_of"] = pt.partitions_of
     for name, f in caches.items():
         assert f.cache_parameters()["maxsize"] is not None, name
@@ -227,6 +249,6 @@ def test_no_kronwork_module_keeps_an_unbounded_cache():
         for name, f in vars(module).items():
             if hasattr(f, "cache_parameters"):
                 found["%s.%s" % (info.name, name)] = f.cache_parameters()["maxsize"]
-    assert set(found) >= {"characters._mn", "partitions._pentagonal_table",
+    assert set(found) >= {"characters._mask_row", "partitions._pentagonal_table",
                           "prover._cached_oracle", "samplers._sigma_table"}
     assert sorted(name for name, maxsize in found.items() if maxsize is None) == []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -240,6 +241,27 @@ def test_zero_budget_is_valid(capsys, monkeypatch):
     assert code == 0 and doc["complete"] is True
 
 
+# SHA-256 of the log of a cold `saxl --m M --threads 1` run: the search is
+# deterministic, so a change that is only meant to make it faster keeps them
+COLD_LOG_SHA256 = {
+    1: "7850c71107971916b123ba0c99e6204f13297aed049e06ced1b83cc64bb5ce8a",
+    2: "3521f288a2c4ff7d5e2f6e168b963fc3104a4f8bbbe37af93672f33a16d2bf83",
+    3: "9182d09c126094fdef2dc749849a99bdeae3dc64cd6f5ae56a085b24df874659",
+    4: "1a6ecdbe8da0060bf509fa1e03301a080468d539aae3951861e746340f92459e",
+    5: "803e80729c4bb7d3b930739b36e187bcebd579f02ca2fae08533e00e6dbbf859",
+    6: "68c32ad6a99ddeeddba5b8bb8946758ac41415e0e04a9e285840ff4dbb3f3d14",
+}
+
+
+@pytest.mark.parametrize("m", sorted(COLD_LOG_SHA256))
+def test_cold_saxl_log_is_pinned(tmp_path, capsys, m):
+    code, doc = run(capsys, "saxl", "--m", str(m), "--threads", "1",
+                    "--cache", str(tmp_path))
+    assert code == 0 and doc["complete"] is True
+    log = (tmp_path / ("m%d.jsonl" % m)).read_bytes()
+    assert hashlib.sha256(log).hexdigest() == COLD_LOG_SHA256[m]
+
+
 def test_distance(capsys):
     code, doc = run(capsys, "distance", "--lambda", "3,1", "--mu", "2,2")
     assert code == 0
@@ -253,6 +275,16 @@ def test_exceptions(capsys):
     code2, doc2 = run(capsys, "exceptions", "--n", "3")
     assert code2 == 0
     assert doc2["covering"]
+    code0, doc0 = run(capsys, "exceptions", "--n", "0")
+    assert code0 == 0 and doc0["covering"] == [""] and doc0["exception"] is False
+
+
+def test_exceptions_rejects_a_negative_n(capsys):
+    # n = -3 has no partitions, and the empty scan once exited 0 with
+    # "exception": true, a counterexample claimed at a size that does not exist
+    assert cli.dispatch(["exceptions", "--n", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize("kind, meta", [("HSum", {}), ("VVHSum", {"vertical": []})])

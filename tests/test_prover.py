@@ -157,6 +157,16 @@ def test_layer_search_never_repeats_the_grid():
             assert sides not in (grid, grid[2:] + grid[:2]), (m, sides)
 
 
+def test_pack_layouts_are_the_split_recipes_with_their_sides_and_sizes():
+    assert prover._pack_layouts(1) == ()
+    for m in range(2, 31):
+        want = []
+        for recipe in prover._split_recipes(m):
+            sides = pt.recipe_sides(recipe)
+            want.append((recipe, tuple(sides), tuple(pt.triangular(s) for s in sides)))
+        assert prover._pack_layouts(m) == tuple(want), m
+
+
 def test_small_targets_need_neither_tree_nor_chunk_search(monkeypatch):
     # up to m = 4 the leaves, the pack searches and the oracle prove every
     # target, so the chunk search that ends the cascade never runs
@@ -555,10 +565,21 @@ def test_h_splits_match_the_brute_force_in_decreasing_order():
 
 
 # The chunk search as it was when it looked up the piece before a leaf-sized
-# rest, kept as reference code: the same pairs, oracle leaves and recursion.
+# rest and walked the pairs in a generator, kept as reference code: the same
+# pairs, oracle leaves and recursion.  `rests` gets the rest of each pair the
+# walk charges a node for.
 
 
-def _chunk_search_piece_first(goal, budget, ceiling):
+def _walk_pairs(goal, s, vflags, p0, c0, budget, rests):
+    for p1, c1 in _coord_splits(goal[1], s, vflags[1]):
+        for p2, c2 in _coord_splits(goal[2], s, vflags[2]):
+            rests.append((c0, c1, c2))
+            if not budget.spend():
+                return
+            yield (p0, p1, p2), (c0, c1, c2)
+
+
+def _chunk_search_piece_first(goal, budget, ceiling, rests):
     memo = set()
 
     def rec(goal):
@@ -571,7 +592,7 @@ def _chunk_search_piece_first(goal, budget, ceiling):
             vflags = [c in vertical for c in range(3)]
             for t in range(min(ceiling, n - 1), 0, -1):
                 for p0, c0 in _coord_splits(goal[0], t, vflags[0]):
-                    for piece, rest in prover._walk_pairs(goal, t, vflags, p0, c0, budget):
+                    for piece, rest in _walk_pairs(goal, t, vflags, p0, c0, budget, rests):
                         _, p1, p2 = piece
                         if p0 == (t,):
                             if p1 != p2:
@@ -595,6 +616,19 @@ def _chunk_search_piece_first(goal, budget, ceiling):
     return rec(goal)
 
 
+class _NodeRecorder(Budget):
+    """A Budget that opens a new list in `nodes_seen` at each node it is
+    charged, to hold the oracle lookups made at that node."""
+
+    def __init__(self, nodes, nodes_seen):
+        super().__init__(nodes)
+        self.nodes_seen = nodes_seen
+
+    def spend(self, cost=1):
+        self.nodes_seen.append([])
+        return super().spend(cost)
+
+
 def test_chunk_search_matches_the_piece_first_order(monkeypatch):
     goals = []
     search = prover._chunk_search
@@ -610,30 +644,26 @@ def test_chunk_search_matches_the_piece_first_order(monkeypatch):
     monkeypatch.setattr(prover, "_chunk_search", search)
     assert len(goals) > 50
 
-    # each pair the walk yields, with the oracle lookups made while it is
-    # the latest pair
+    # the oracle lookups made at each node, while its pair is the latest
     pairs = []
-    walk, oracle_leaf = prover._walk_pairs, prover._oracle_leaf
-
-    def walk_pairs(*args):
-        for piece, rest in walk(*args):
-            pairs.append((rest, []))
-            yield piece, rest
+    oracle = prover._cached_oracle
 
     def lookup(goal, ceiling):
         if pairs:
-            pairs[-1][1].append(goal)
-        return oracle_leaf(goal, ceiling)
+            pairs[-1].append(goal)
+        return oracle(goal, ceiling)
 
-    monkeypatch.setattr(prover, "_walk_pairs", walk_pairs)
-    monkeypatch.setattr(prover, "_oracle_leaf", lookup)
+    monkeypatch.setattr(prover, "_cached_oracle", lookup)
 
-    def zero_rest_pieces():
+    def zero_rest_pieces(rests):
         """Lookups beyond the rest's own, over the pairs whose leaf-sized
-        rest has a zero coefficient, and the number of those pairs."""
+        rest has a zero coefficient, and the number of those pairs.  Both
+        searches charge a node for each pair of the reference's walk, in
+        its order, so rests[i] is the rest of the pair of node i."""
+        assert len(pairs) == len(rests)
         extra = zeros = 0
-        for rest, looked in pairs:
-            if pt.size(rest[0]) <= ceiling and oracle_leaf(rest, ceiling) is None:
+        for rest, looked in zip(rests, pairs):
+            if pt.size(rest[0]) <= ceiling and oracle(rest, ceiling) is None:
                 zeros += 1
                 extra += looked not in ([], [rest])
         pairs.clear()
@@ -642,13 +672,15 @@ def test_chunk_search_matches_the_piece_first_order(monkeypatch):
     ceiling = ch.DEFAULT_ORACLE_CEILING
     skipped = wasted = 0
     for goal in goals:
-        budget, ref_budget = Budget(60000), Budget(60000)
+        rests = []
+        ref_budget = _NodeRecorder(60000, pairs)
+        ref = _chunk_search_piece_first(goal, ref_budget, ceiling, rests)
+        wasted += zero_rest_pieces(rests)[0]
+        budget = _NodeRecorder(60000, pairs)
         cert = prover._chunk_search(goal, budget, ceiling)
-        extra, zeros = zero_rest_pieces()
+        extra, zeros = zero_rest_pieces(rests)
         assert extra == 0, goal
         skipped += zeros
-        ref = _chunk_search_piece_first(goal, ref_budget, ceiling)
-        wasted += zero_rest_pieces()[0]
         assert (cert and cert.to_json()) == (ref and ref.to_json()), goal
         assert budget.nodes == ref_budget.nodes, goal
     # the reference looks up pieces whose rest already rules the pair out
