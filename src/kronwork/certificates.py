@@ -7,6 +7,7 @@ make and the verifier accepts.
 """
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -28,13 +29,118 @@ DECODE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, RecursionError
 
 # A cache's certificates repeat a few goal strings (the staircase and its
 # pieces), so each distinct string is parsed once.  Errors are not cached.
+# Below the roots, a decode with a table parses through the table's own dict
+# instead.
 _parse_goal_text = lru_cache(maxsize=256)(pt.parse_partition)
 
+# json.loads less its encoding detection, which a log of UTF-8 lines does
+# not need: 0.5 us a line
+_json = json.JSONDecoder().decode
 
-def _parse_goal(g):
-    # anything but a string goes straight to the parser, which raises on it
-    # exactly as before (a list would otherwise fail as unhashable)
-    return _parse_goal_text(g) if type(g) is str else pt.parse_partition(g)
+
+class _Goals(dict):
+    """Goal text -> partition, each text parsed once; errors are not kept."""
+
+    def __missing__(self, text):
+        goal = self[text] = pt.parse_partition(text)
+        return goal
+
+
+class Table:
+    """What one read of a certificate log keeps, for its later lines and
+    for the lines appended after it.
+
+    A log holds one certificate JSON per line.  Below the root, a child may
+    be a reference [line, index] instead of a node: the index-th inline
+    non-root node, in post-order, of the earlier line numbered `line`.
+    Lines are numbered from 1 and every line counts, one that is cut or
+    does not decode too.  A line with no reference is a plain certificate.
+
+    - nodes: the content key of each non-root node decoded (`from_json`) to
+      the node;
+    - parse: the partition of a goal string below a root, each string
+      parsed once.  A root's strings go through a bounded cache instead:
+      its target is that of no other line, and keeping the targets raised
+      the peak RSS of a warm m=9 read from 59 to 84 MB;
+    - inline: the inline non-root nodes of the lines read, in order; line
+      L holds those from ends[L - 1] to ends[L], none if it did not
+      decode.  These are what references resolve to;
+    - refs: the content key of each node the log holds to a reference to
+      it, built when the first line is written (`encode`).
+    """
+
+    def __init__(self):
+        self.nodes = {}
+        self.parse = _Goals().__getitem__
+        self.inline = []
+        self.ends = array("q", [0])
+        self.refs = None
+
+    def resolve(self, ref):
+        """The node the reference ref names, on a line read before; a
+        ValueError if there is none."""
+        if len(ref) == 2 and type(ref[0]) is int and type(ref[1]) is int:
+            line, i = ref
+            if 0 < line < len(self.ends) and 0 <= i < self.ends[line] - self.ends[line - 1]:
+                return self.inline[self.ends[line - 1] + i]
+        raise ValueError("%.40r names no node of an earlier line" % (ref,))
+
+    def encode(self, cert, line):
+        """The JSON text of cert as line number `line` of the log, which
+        must follow every line read or written before.
+
+        Each non-root node whose content (kind, goal, the references of its
+        children and the repr of its meta, which tells apart what the
+        table's key does) an earlier line holds is written as a reference
+        to it, and every other node in full, in post-order positions that
+        later lines may refer to.  Expanding the references gives
+        `cert.to_json()`.
+        """
+        if self.refs is None:
+            self.refs = self._index()
+        refs, known, new = self.refs, {}, {}
+        count = 0
+
+        def find(c):
+            # the reference to c's content on an earlier line, or None
+            if id(c) not in known:
+                kids = [find(k) for k in c.children]
+                known[id(c)] = None if None in kids else refs.get(
+                    (c.kind, c.goal, tuple(kids), repr(c.meta)))
+            return known[id(c)]
+
+        def emit(c, root=False):
+            # c's JSON value and the reference to its content
+            nonlocal count
+            ref = None if root else find(c)
+            if ref is not None:
+                return ref, ref
+            kids = [emit(k) for k in c.children]
+            if not root:
+                key = (c.kind, c.goal, tuple([r for _, r in kids]), repr(c.meta))
+                ref = new.setdefault(key, (line, count))
+                count += 1
+            return {"kind": c.kind, "goal": [pt.format_partition(p) for p in c.goal],
+                    "children": [doc for doc, _ in kids], "meta": c.meta}, ref
+
+        text = json.dumps(emit(cert, True)[0])
+        refs.update(new)
+        return text
+
+    def _index(self):
+        """refs of the lines read: each node's content to its first
+        reference.  A node whose key cannot be made is left out, and so is
+        every node above it."""
+        refs, ref_of = {}, {}
+        for line in range(1, len(self.ends)):
+            for i, node in enumerate(self.inline[self.ends[line - 1]:self.ends[line]]):
+                try:
+                    key = (node.kind, node.goal,
+                           tuple([ref_of[id(c)] for c in node.children]), repr(node.meta))
+                    ref_of.setdefault(id(node), refs.setdefault(key, (line, i)))
+                except (KeyError, TypeError, ValueError, RecursionError):
+                    pass
+        return refs
 
 
 @dataclass(frozen=True)
@@ -52,32 +158,53 @@ class Certificate:
             "meta": self.meta,
         }
 
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
+    def to_json(self, table=None, line=None):
+        """The certificate as JSON text; with a table and a line number, as
+        that line of the table's log (`Table.encode`)."""
+        if table is None:
+            return json.dumps(self.to_dict())
+        return table.encode(self, line)
 
     @staticmethod
     def from_dict(d, table=None):
         """Decode a certificate; see `from_json` for the table."""
-        return _decode(d, table, False)
+        return _decode(d, table, None, False)
 
     @staticmethod
-    def from_json(text, table=None):
+    def from_json(text, table=None, line=None):
         """Decode a certificate from JSON text.
 
-        With a table, a dict that the caller keeps across calls, every
+        With a table (a `Table` that the caller keeps across calls), every
         non-root node whose full content equals that of a node decoded
-        before is that node: kind, goal strings, children (by identity, as
-        they are shared already) and meta (typed and in order, so that 1,
-        1.0 and true stay apart).  A verifier memo that trusts a node by
-        identity (`verify_certificate`) is therefore sound over the decoded
+        before is that node: kind, goal, children (by identity, as they are
+        shared already) and meta (typed and in order, so that 1, 1.0 and
+        true stay apart).  A verifier memo that trusts a node by identity
+        (`verify_certificate`) is therefore sound over the decoded
         certificates, as two nodes that differ in any field are two
         objects.  A node the key cannot hold exactly is decoded unshared,
         and an input is rejected with the error it gets without a table.
         The table holds every distinct sub-certificate while it lives, which
         is why the saxl log reader keeps one and the legacy per-file reader,
         a fallback for old caches, does not (see `verify_certificate`).
+
+        With a line number too, text is that line of a log, read right
+        after the lines before it: each reference resolves to the node it
+        names (see `Table`), and a malformed one is a ValueError.
         """
-        return Certificate.from_dict(json.loads(text), table)
+        if type(text) is bytes:
+            text = text.decode()
+        if line is None:
+            return _decode(_json(text), table, None, False)
+        inline, ends = table.inline, table.ends
+        if line != len(ends):
+            raise ValueError("line %d is not the next line, %d" % (line, len(ends)))
+        try:
+            return _decode(_json(text), table, inline, False)
+        except DECODE_ERRORS:
+            del inline[ends[-1]:]
+            raise
+        finally:
+            ends.append(len(inline))
 
     def leaves(self):
         if not self.children:
@@ -91,39 +218,46 @@ class Certificate:
         return {leaf.kind for leaf in self.leaves()}
 
 
-def _decode(d, table, share):
+def _decode(d, table, inline, share):
     """The certificate of the JSON object d; with `share` set, d is looked
-    up in the table, and with a table, so are its children.
+    up in the table and its goal strings are parsed through the table, and
+    with a table, so are its children's.  With `inline`, the list that the
+    log's inline non-root nodes are appended to, a child may be a reference.
 
     The fields are read in the order kind, goal, children, meta, so a bad
-    goal is reported before any error below it.  The key holds the goal as
-    the items it is parsed from, and meta as its repr, which tells apart
-    what == does not (1, 1.0 and true; -0.0 and 0.0; the order of keys) and
-    is exact for the values JSON decodes to.  A key that cannot be made or
-    hashed, say for a list among the goal strings, leaves the node unshared.
+    goal is reported before any error below it.  The key holds the parsed
+    goal, and meta as its repr, which tells apart what == does not (1, 1.0
+    and true; -0.0 and 0.0; the order of keys) and is exact for the values
+    JSON decodes to.  A key that cannot be made leaves the node unshared.
     """
     kind = d["kind"]
     raw = d["goal"]
     try:
-        children = d["children"]
-        children = () if children == [] else tuple(
-            [_decode(c, table, table is not None) for c in children])
-    except DECODE_ERRORS:
-        tuple(map(_parse_goal, raw))  # a bad goal is reported first
-        raise
+        goal = tuple(map(table.parse if share else _parse_goal_text, raw))
+    except TypeError:  # an unhashable entry: raised as the parser raises it
+        goal = tuple(map(pt.parse_partition, raw))
+    children = d["children"]
+    if children == []:
+        children = ()
+    elif inline is None:
+        children = tuple([_decode(c, table, None, table is not None) for c in children])
+    else:
+        children = tuple([table.resolve(c) if type(c) is list
+                          else _decode(c, table, inline, True) for c in children])
     meta = d.get("meta", {})
-    key = None
+    node = key = None
     if share and type(kind) is str:
         try:
-            key = (kind, tuple(raw), tuple(map(id, children)), repr(meta))
-            node = table.get(key)
-        except (TypeError, ValueError, RecursionError):
-            key = node = None
-        if node is not None:
-            return node
-    node = Certificate(kind, tuple(map(_parse_goal, raw)), children, dict(meta))
-    if key is not None:
-        table[key] = node
+            key = (kind, goal, tuple(map(id, children)), repr(meta))
+            node = table.nodes.get(key)
+        except (ValueError, RecursionError):
+            key = None
+    if node is None:
+        node = Certificate(kind, goal, children, dict(meta))
+        if key is not None:
+            table.nodes[key] = node
+    if inline is not None and share:
+        inline.append(node)
     return node
 
 

@@ -14,7 +14,7 @@ import operator
 from functools import lru_cache
 from itertools import groupby
 
-from .partitions import conjugate, partitions_of, size
+from .partitions import check_partition, conjugate, partitions_of, size
 
 DEFAULT_ORACLE_CEILING = 14
 
@@ -139,8 +139,15 @@ def _mask_row(mask, n):
 
 @lru_cache(maxsize=_ROW_CACHE)
 def _char_row(lam):
-    """chi^lam(rho) for each rho, in `partitions_of(|lam|)` order."""
-    return _mask_row(_beta_mask(lam), size(lam))
+    """chi^lam(rho) for each rho, in `partitions_of(|lam|)` order.
+
+    A lam that is not a partition, trailing zero rows aside, is a
+    ValueError: its beta mask would be some other shape's or none.
+    """
+    rows = check_partition(lam)
+    if rows != lam[:len(rows)]:
+        raise ValueError("not a partition: %r" % (lam,))
+    return _mask_row(_beta_mask(rows), size(rows))
 
 
 def multi_kronecker(factors, ceiling=DEFAULT_ORACLE_CEILING):
@@ -163,8 +170,6 @@ def multi_kronecker(factors, ceiling=DEFAULT_ORACLE_CEILING):
         raise OracleCeilingError(
             "oracle ceiling %d exceeded by n=%d" % (ceiling, n)
         )
-    if n == 0:
-        return 1
     prod = _class_sizes(n)
     for f in factors:
         prod = map(operator.mul, prod, _char_row(f))

@@ -12,6 +12,7 @@ from . import characters as ch
 from .certificates import (
     DECODE_ERRORS,
     Certificate,
+    Table,
     base_dominance,
     base_hook,
     base_oracle,
@@ -488,7 +489,8 @@ def _chunk_search(goal, budget, ceiling):
 
 
 def log_path(cache_dir, m):
-    """The certificate log of m: one certificate JSON per line."""
+    """The certificate log of m: one certificate JSON per line, whose
+    repeated sub-certificates refer back to earlier lines (`Table`)."""
     return os.path.join(cache_dir, "m%d.jsonl" % m)
 
 
@@ -514,29 +516,31 @@ def _find(targets, nu, start):
     return lo if lo < len(targets) and targets[lo] == nu else None
 
 
-def _read_log(path, targets, rho, ceiling, proved, rejected):
+def _read_log(path, targets, rho, ceiling, proved, rejected, table):
     """Set proved[i] for each target targets[i] that a line of the log at
     path proves, and count the rejected lines by reason in `rejected`.
-    Returns the number of targets proved and of the distinct
-    sub-certificates verified.
+    Returns the number of targets proved, of the distinct sub-certificates
+    verified and of the lines read, a cut last line included.
 
     The log is read a line at a time.  A line is a hit when it decodes,
     proves exactly (nu; rho, rho) for a target nu not yet proved, and
     verifies.  A later line for a proved target is skipped unverified; any
     other line is a miss, and stderr says why.  The lines are decoded over
-    one table and verified over one memo, so a sub-certificate that recurs
-    across lines, as the staircase pieces do, is one object, checked once.
+    one table, where a reference to an earlier line resolves to the node
+    decoded there, and verified over one memo, so a sub-certificate that
+    recurs across lines, as the staircase pieces do, is one object, checked
+    once; each line is still verified in full.
     """
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
-        return 0, 0
-    table, memo = {}, {}
-    hits = nxt = 0
+        return 0, 0, 0
+    memo = {}
+    hits = nxt = number = 0
     with fh:
         for number, line in enumerate(fh, 1):
             try:
-                cert = Certificate.from_json(line, table)
+                cert = Certificate.from_json(line, table, number)
             except DECODE_ERRORS as e:
                 reason, why = "unreadable", "unreadable (%s)" % e
             else:
@@ -556,7 +560,7 @@ def _read_log(path, targets, rho, ceiling, proved, rejected):
                     reason, why = "invalid", "invalid (%s)" % msg
             rejected[reason] = rejected.get(reason, 0) + 1
             print("saxl: skipping %s line %d: %s" % (path, number, why), file=sys.stderr)
-    return hits, len(memo)
+    return hits, len(memo), number
 
 
 def _has_legacy_files(cache_dir, m):
@@ -594,8 +598,8 @@ def _read_cached(path, goal, ceiling):
 
 def _prove_into(m, nu, ceiling, budget_nodes):
     """Prove nu inside the square of rho_m and verify the certificate.
-    Returns its JSON text, or None when no certificate was found; it proves
-    exactly (nu; rho_m, rho_m), or the prover raises."""
+    Returns it, or None when no certificate was found; it proves exactly
+    (nu; rho_m, rho_m), or the prover raises."""
     cert = prove_in_staircase_square(
         m, nu, budget=Budget(budget_nodes), ceiling=ceiling
     )
@@ -604,7 +608,7 @@ def _prove_into(m, nu, ceiling, budget_nodes):
     ok, msg = verify_certificate(cert, ceiling=ceiling)
     if not ok:
         raise AssertionError("bad certificate for %s: %s" % (nu, msg))
-    return cert.to_json()
+    return cert
 
 
 def _open_log(path):
@@ -626,11 +630,11 @@ def verify_saxl(m, cache_dir=None, ceiling=ch.DEFAULT_ORACLE_CEILING,
     are then proved and verified by `_prove_into`, in a pool of at most
     `threads` processes and at most one per `_CHUNK` misses, or in this
     process when that is one.  Their results come back here in target
-    order: this process counts them and, with a cache, appends each
-    certificate to the log in one write of a whole line, so neither the
-    report nor the log depends on the thread count, and a killed run loses
-    at most the line being written.  A last stderr line sums up where the
-    proofs came from.
+    order: this process counts them and, with a cache, encodes each
+    certificate against the log's table and appends it in one write of a
+    whole line, so neither the report nor the log depends on the thread
+    count, and a killed run loses at most the line being written.  A last
+    stderr line sums up where the proofs came from.
     """
     n = pt.triangular(m)
     rho = pt.staircase(m)
@@ -640,7 +644,9 @@ def verify_saxl(m, cache_dir=None, ceiling=ch.DEFAULT_ORACLE_CEILING,
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
         path = log_path(cache_dir, m)
-        from_log, shared = _read_log(path, targets, rho, ceiling, proved, rejected)
+        table = Table()
+        from_log, shared, lines = _read_log(path, targets, rho, ceiling, proved,
+                                            rejected, table)
         from_files = 0
         # a directory with no legacy file, like a cold one, skips the lookups
         if not all(proved) and _has_legacy_files(cache_dir, m):
@@ -663,15 +669,16 @@ def verify_saxl(m, cache_dir=None, ceiling=ch.DEFAULT_ORACLE_CEILING,
                 ProcessPoolExecutor(workers, mp_context=get_context("spawn")))
             run = partial(pool.map, chunksize=_CHUNK)
         fd = None
-        for done, (i, text) in enumerate(zip(todo, run(_prove_into, *jobs)), 1):
-            if text is not None:
+        for done, (i, cert) in enumerate(zip(todo, run(_prove_into, *jobs)), 1):
+            if cert is not None:
                 proved[i] = True
                 fresh += 1
                 if cache_dir is not None:
                     if fd is None:
                         fd, lead = _open_log(path)
                         stack.callback(os.close, fd)
-                    line = lead + text.encode() + b"\n"
+                    lines += 1
+                    line = lead + cert.to_json(table, lines).encode() + b"\n"
                     if os.write(fd, line) != len(line):
                         raise OSError("short write to %s" % path)
                     lead = b""

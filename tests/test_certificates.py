@@ -462,9 +462,10 @@ def test_verifier_fails_closed_on_malformed_python_certificates(cert):
 
 
 def test_decoding_with_a_table_shares_equal_subtrees_only():
-    # equal subtrees below the root decode to one object; a node that
-    # differs in any field, even by 1.0 or true for 1 or by the order of its
-    # meta keys, is another object; roots are never kept
+    # equal subtrees below the root decode to one object, also when their
+    # goal strings differ only by trailing zero rows; a node that differs in
+    # any field, even by 1.0 or true for 1 or by the order of its meta keys,
+    # is another object; roots are never kept
     leaf = {"kind": "DominanceStaircase", "goal": ["1", "1", "1"], "children": [],
             "meta": {"m": 1}}
 
@@ -472,20 +473,22 @@ def test_decoding_with_a_table_shares_equal_subtrees_only():
         return json.dumps({"kind": "Conjugate", "goal": child["goal"], "children": [child],
                            "meta": {"coords": []}})
 
-    table = {}
+    table = ct.Table()
     a = ct.Certificate.from_json(wrap(leaf), table)
     b = ct.Certificate.from_json(wrap(leaf), table)
     assert a is not b and a.children[0] is b.children[0]
-    assert len(table) == 1
+    assert ct.Certificate.from_json(wrap(dict(leaf, goal=["1", "1", "1,0"])),
+                                    table).children[0] is a.children[0]
+    assert len(table.nodes) == 1
     variants = [dict(leaf, meta={"m": m}) for m in (1.0, True, "1")]
     variants += [dict(leaf, meta={"m": 1, "x": 0}), dict(leaf, meta={"x": 0, "m": 1}),
-                 dict(leaf, kind="Hook"), dict(leaf, goal=["1", "1", "1,0"])]
+                 dict(leaf, kind="Hook"), dict(leaf, goal=["1", "1", "1,1"])]
     for other in variants:
         c = ct.Certificate.from_json(wrap(other), table)
         assert c.children[0] is not a.children[0]
         assert c.to_json() == ct.Certificate.from_json(wrap(other)).to_json()
         assert ct.Certificate.from_json(wrap(other), table).children[0] is c.children[0]
-    assert len(table) == 1 + len(variants)
+    assert len(table.nodes) == 1 + len(variants)
     # input the key cannot hash decodes unshared, and bad input fails as it
     # did before nodes were shared: a bad goal before any error below it
     for doc, error in ((dict(leaf, goal=[["1"], "1", "1"]), AttributeError),
@@ -495,4 +498,4 @@ def test_decoding_with_a_table_shares_equal_subtrees_only():
             with pytest.raises(error):
                 ct.Certificate.from_json(wrap(doc), tab)
     # of these only the leaf whose meta is given as pairs decodes, and is kept
-    assert len(table) == 1 + len(variants) + 1
+    assert len(table.nodes) == 1 + len(variants) + 1

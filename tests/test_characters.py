@@ -59,6 +59,19 @@ def test_character_rejects_a_size_mismatch():
         ch.character((3,), (2, 2))
 
 
+# shapes that are not partitions once gave numbers: 1, (0, 0, 0) and 0
+@pytest.mark.parametrize("call", [
+    lambda: ch.multi_kronecker(((1, 1, 2), (1, 1, 2), (4,))),
+    lambda: ch._char_row((1, 2)),
+    lambda: ch.character((1, 2), (3,)),
+    lambda: ch.multi_kronecker(((2, -2), (), ())),
+    lambda: ch._char_row((2.5, 0.5)),
+], ids=["multi-kronecker", "char-row", "character", "zero-size", "fractional"])
+def test_the_oracle_rejects_a_shape_that_is_not_a_partition(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 @given(partitions())
 def test_dimension_matches_hook_lengths(lam):
     assert ch.dimension(lam) == hook_dimension(lam)

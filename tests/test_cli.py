@@ -8,6 +8,7 @@ from kronwork import cli
 from kronwork import partitions as pt
 from kronwork.verify import verify_certificate
 from kronwork.certificates import Certificate
+from log_reference import expanded_bytes
 
 
 def run(capsys, *argv):
@@ -63,7 +64,9 @@ def test_verify_cert_rejects_garbage(tmp_path, capsys):
     '{"kind": "Hook", "goal": [5], "children": []}',
     '[1]',
     "[" * 5000 + "]" * 5000,
-], ids=["no-children", "int-goal", "not-an-object", "deep-nesting"])
+    # a saxl log's reference to an earlier line means nothing in a file
+    '{"kind": "Conjugate", "goal": ["1", "1", "1"], "children": [[1, 0]], "meta": {}}',
+], ids=["no-children", "int-goal", "not-an-object", "deep-nesting", "list-child"])
 def test_verify_cert_unparseable_exits_2_without_traceback(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -106,15 +109,17 @@ def test_saxl_small(tmp_path, capsys):
 
 
 def test_saxl_pool_and_serial_write_the_same_cache(tmp_path, capsys):
-    # the parent appends the certificates in target order, whoever proved them
+    # the parent encodes and appends the certificates in target order,
+    # whoever proved them; at m = 5 later lines refer to earlier ones
     serial, pool = str(tmp_path / "serial"), str(tmp_path / "pool")
-    assert run(capsys, "saxl", "--m", "4", "--threads", "1", "--cache", serial) == \
-        run(capsys, "saxl", "--m", "4", "--threads", "2", "--cache", pool)
-    assert os.listdir(serial) == os.listdir(pool) == ["m4.jsonl"]
-    with open(os.path.join(serial, "m4.jsonl"), "rb") as fh:
+    assert run(capsys, "saxl", "--m", "5", "--threads", "1", "--cache", serial) == \
+        run(capsys, "saxl", "--m", "5", "--threads", "2", "--cache", pool)
+    assert os.listdir(serial) == os.listdir(pool) == ["m5.jsonl"]
+    with open(os.path.join(serial, "m5.jsonl"), "rb") as fh:
         log = fh.read()
-    assert len(log.splitlines()) == 42
-    with open(os.path.join(pool, "m4.jsonl"), "rb") as fh:
+    assert len(log.splitlines()) == 176
+    assert hashlib.sha256(log).hexdigest() == COLD_LOG_RAW_SHA256[5]
+    with open(os.path.join(pool, "m5.jsonl"), "rb") as fh:
         assert fh.read() == log
 
 
@@ -241,8 +246,9 @@ def test_zero_budget_is_valid(capsys, monkeypatch):
     assert code == 0 and doc["complete"] is True
 
 
-# SHA-256 of the log of a cold `saxl --m M --threads 1` run: the search is
-# deterministic, so a change that is only meant to make it faster keeps them
+# SHA-256 of the log of a cold `saxl --m M --threads 1` run, with its
+# references inlined: the search is deterministic, so a change that is only
+# meant to make it faster keeps them
 COLD_LOG_SHA256 = {
     1: "7850c71107971916b123ba0c99e6204f13297aed049e06ced1b83cc64bb5ce8a",
     2: "3521f288a2c4ff7d5e2f6e168b963fc3104a4f8bbbe37af93672f33a16d2bf83",
@@ -250,6 +256,13 @@ COLD_LOG_SHA256 = {
     4: "1a6ecdbe8da0060bf509fa1e03301a080468d539aae3951861e746340f92459e",
     5: "803e80729c4bb7d3b930739b36e187bcebd579f02ca2fae08533e00e6dbbf859",
     6: "68c32ad6a99ddeeddba5b8bb8946758ac41415e0e04a9e285840ff4dbb3f3d14",
+}
+# and of the log as written; up to m = 4 no sub-certificate repeats, so the
+# log has no reference
+COLD_LOG_RAW_SHA256 = {
+    **COLD_LOG_SHA256,
+    5: "121955b8e5e404e719f059a22926d9c6ce708e0052f8939443277af66b7cfdd4",
+    6: "9e60b04f4203c5eb2dc158f4a5c233d626a77fece28a6d0e166e548f254b5c7a",
 }
 
 
@@ -259,7 +272,8 @@ def test_cold_saxl_log_is_pinned(tmp_path, capsys, m):
                     "--cache", str(tmp_path))
     assert code == 0 and doc["complete"] is True
     log = (tmp_path / ("m%d.jsonl" % m)).read_bytes()
-    assert hashlib.sha256(log).hexdigest() == COLD_LOG_SHA256[m]
+    assert hashlib.sha256(expanded_bytes(log)).hexdigest() == COLD_LOG_SHA256[m]
+    assert hashlib.sha256(log).hexdigest() == COLD_LOG_RAW_SHA256[m]
 
 
 def test_distance(capsys):

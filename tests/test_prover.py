@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from concurrent import futures
 
 import pytest
@@ -26,6 +27,7 @@ from kronwork.certificates import (
     fold_certs,
 )
 from kronwork.verify import verify_certificate
+from log_reference import expand, expanded_bytes, inline_nodes, references
 
 
 def test_rejects_wrong_size():
@@ -283,17 +285,17 @@ def _rerun(cache, m, **kw):
     new = after.pop(log, b"")
     assert after == before and new.startswith(old)
     # the first appended line may follow a newline that ends a cut line
-    certs = [Certificate.from_json(line)
-             for line in new[len(old):].lstrip(b"\n").splitlines()]
+    docs = expand(new.splitlines())[len(old.splitlines()):]
+    certs = [Certificate.from_dict(doc) for doc in docs]
     assert all(verify_certificate(c)[0] for c in certs)
     return [c.goal for c in certs]
 
 
-def _distinct_subtrees(texts):
-    """The number of distinct non-root subtrees of the certificates in
-    texts, told apart by their JSON."""
+def _distinct_subtrees(lines):
+    """The number of distinct non-root subtrees of the certificates in the
+    log lines, told apart by their JSON with references inlined."""
     seen = set()
-    todo = [child for text in texts for child in json.loads(text)["children"]]
+    todo = [child for doc in expand(lines) for child in doc["children"]]
     while todo:
         node = todo.pop()
         seen.add(json.dumps(node))
@@ -445,31 +447,134 @@ def test_verify_saxl_verifies_each_target_of_the_log_once(tmp_path, monkeypatch)
     assert seen == _goals(texts, 3)
 
 
+def _cold_log(tmp_path, m):
+    """The lines of the log of a cold run of m."""
+    cache = str(tmp_path / "cold")
+    assert verify_saxl(m, cache_dir=cache)["complete"]
+    with open(prover.log_path(cache, m), "rb") as fh:
+        return fh.read().splitlines(keepends=True)
+
+
+def _write_log(cache, m, lines):
+    os.makedirs(cache)
+    with open(prover.log_path(cache, m), "wb") as fh:
+        fh.writelines(lines)
+    return cache
+
+
 def test_verify_saxl_resumes_a_log_cut_inside_a_line(tmp_path, capsys):
-    # a killed run leaves the log cut inside a line: the rerun re-proves the
-    # targets of the lost lines, starting on a fresh line, and a third run
-    # appends nothing
-    cache = str(tmp_path / "m4")
-    assert verify_saxl(4, cache_dir=cache)["complete"]
-    path = prover.log_path(cache, 4)
-    with open(path, "rb") as fh:
-        full = fh.read()
-    lines = full.splitlines(keepends=True)
-    keep = 20
+    # a killed run leaves the log cut inside a line, one whose nodes later
+    # lines referred to: the rerun re-proves the targets of the lost lines,
+    # starting on a fresh line after the cut one, which keeps its number,
+    # so the log holds the same certificates again; a third run appends
+    # nothing
+    m, keep = 5, 28
+    lines = _cold_log(tmp_path, m)
+    assert any(ref[i][0] == keep + 1 for line in lines[keep + 1:]
+               for ref, i in references(json.loads(line)))
     cut = b"".join(lines[:keep]) + lines[keep][:40]
-    with open(path, "wb") as fh:
-        fh.write(cut)
+    cache = _write_log(str(tmp_path / "m5"), m, [cut])
     capsys.readouterr()
-    assert _rerun(cache, 4) == _goals(pt.partitions_of(10)[keep:], 4)
-    with open(path, "rb") as fh:
-        assert fh.read() == cut + b"\n" + b"".join(lines[keep:])
+    assert _rerun(cache, m) == _goals(pt.partitions_of(15)[keep:], m)
+    with open(prover.log_path(cache, m), "rb") as fh:
+        resumed = fh.read()
+    assert resumed.startswith(cut + b"\n")
+    assert expanded_bytes(resumed) == expanded_bytes(b"".join(lines))
     err = capsys.readouterr().err.splitlines()
     assert "line %d: unreadable" % (keep + 1) in err[0]
-    assert err[-1] == ("saxl m=4 cache: %d targets proved from the log, 0 from legacy "
+    assert err[-1] == ("saxl m=5 cache: %d targets proved from the log, 0 from legacy "
                        "files, %d in this run; log lines rejected: 1 unreadable; distinct "
                        "sub-certificates verified from the log: %d"
-                       % (keep, 42 - keep, _distinct_subtrees(lines[:keep])))
-    assert _rerun(cache, 4) == []
+                       % (keep, 176 - keep, _distinct_subtrees(lines[:keep])))
+    assert _rerun(cache, m) == []
+
+
+def test_verify_saxl_appends_references_into_a_log_without_them(tmp_path):
+    # a log written before references, missing every other target: the
+    # rerun's lines refer back into the old lines and hold the certificates
+    # a cold run finds
+    m = 5
+    texts = _cert_texts(m)
+    old = list(texts)[::2]
+    cache = _make_cache(tmp_path / "m5", m, "log", {nu: texts[nu] for nu in old})
+    new = [nu for nu in texts if nu not in old]
+    assert _rerun(cache, m) == _goals(new, m)
+    with open(prover.log_path(cache, m), "rb") as fh:
+        lines = fh.read().splitlines()
+    assert [json.dumps(doc) for doc in expand(lines)[len(old):]] == [texts[nu] for nu in new]
+    assert any(ref[i][0] <= len(old) for line in lines[len(old):]
+               for ref, i in references(json.loads(line)))
+
+
+# Malformed references, each put in place of the first reference of the
+# last line k that holds one, which names line r: f(k, r, lines) -> value
+BAD_REFERENCES = {
+    "int": lambda k, r, lines: 3,
+    "string": lambda k, r, lines: "%d, 0" % r,
+    "object": lambda k, r, lines: {"line": r, "index": 0},
+    "empty": lambda k, r, lines: [],
+    "short": lambda k, r, lines: [r],
+    "long": lambda k, r, lines: [r, 0, 0],
+    "true-line": lambda k, r, lines: [True, 0],
+    "true-index": lambda k, r, lines: [r, True],
+    "float-line": lambda k, r, lines: [float(r), 0],
+    "float-index": lambda k, r, lines: [r, 0.0],
+    "negative-line": lambda k, r, lines: [-r, 0],
+    "negative-index": lambda k, r, lines: [r, -1],
+    "huge-line": lambda k, r, lines: [10**30, 0],
+    "huge-index": lambda k, r, lines: [r, 10**30],
+    "forward": lambda k, r, lines: [k + 1, 0],
+    "itself": lambda k, r, lines: [k, 0],
+    # past line r's inline nodes comes its root
+    "root": lambda k, r, lines: [r, len(inline_nodes(json.loads(lines[r - 1])))],
+    "leaf-line": lambda k, r, lines: [
+        next(n for n, line in enumerate(lines, 1) if not json.loads(line)["children"]), 0],
+    "nested": lambda k, r, lines: [[r, 0], 0],
+    "nested-alone": lambda k, r, lines: [[r, 0]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REFERENCES) + ["cut-line", "unreadable-line"])
+def test_verify_saxl_reproves_a_line_with_a_malformed_reference(tmp_path, capsys, case):
+    m = 5
+    lines = _cold_log(tmp_path, m)
+    k = max(n for n, line in enumerate(lines, 1) if references(json.loads(line)))
+    doc = json.loads(lines[k - 1])
+    holder, i = references(doc)[0]
+    r = holder[i][0]
+    if case in BAD_REFERENCES:
+        holder[i] = BAD_REFERENCES[case](k, r, lines)
+        lines[k - 1] = json.dumps(doc).encode() + b"\n"
+    else:  # the reference is kept, and the line it names does not decode:
+        # cut, as a resumed run leaves it, or not a certificate
+        lines[r - 1] = lines[r - 1][:40] + b"\n" if case == "cut-line" else b"{}\n"
+    cache = _write_log(str(tmp_path / "m5"), m, lines)
+    capsys.readouterr()
+    goals = _rerun(cache, m)
+    assert _goals([pt.parse_partition(doc["goal"][0])], m)[0] in goals
+    err = capsys.readouterr().err
+    assert re.search(r"line %d: unreadable \(.+\)" % k, err), err
+
+
+def test_verify_saxl_rejects_a_line_that_refers_into_an_invalid_line(tmp_path, capsys):
+    # line r holds a staircase leaf with a wrong m, and line k refers to
+    # that leaf: both are invalid, and their targets are proved again
+    m = 5
+    lines = _cold_log(tmp_path, m)
+    docs = [json.loads(line) for line in lines]
+    k, r, node = next(
+        (k, ref[i][0], inline_nodes(docs[ref[i][0] - 1])[ref[i][1]])
+        for k, doc in enumerate(docs, 1) for ref, i in references(doc)
+        if inline_nodes(docs[ref[i][0] - 1])[ref[i][1]]["kind"] == "DominanceStaircase")
+    node["meta"]["m"] += 1
+    lines[r - 1] = json.dumps(docs[r - 1]).encode() + b"\n"
+    cache = _write_log(str(tmp_path / "m5"), m, lines)
+    capsys.readouterr()
+    goals = _rerun(cache, m)
+    assert {g[0] for g in goals} >= {pt.parse_partition(docs[n - 1]["goal"][0]) for n in (k, r)}
+    err = capsys.readouterr().err
+    for n in (r, k):
+        assert re.search(r"line %d: invalid \(.*staircase of m" % n, err), err
 
 
 def test_verify_saxl_opens_no_legacy_file_for_a_target_the_log_proves(
@@ -729,15 +834,18 @@ def test_verify_saxl_reproves_a_line_that_repeats_a_subtree_with_a_bad_leaf(
 
 
 def test_verify_saxl_warm_rerun_verifies_each_distinct_subtree_once(tmp_path, capsys):
-    # a cold m=6 run writes the log; a warm rerun over it, or over its lines
-    # in reverse order, proves every target from it, and the memo holds
-    # each distinct sub-certificate once, far fewer than the log's nodes
+    # a cold m=6 run writes the log; a warm rerun over it, over its lines
+    # with the references inlined, as a log from before references holds
+    # them, or over those in reverse order, proves every target from it,
+    # and the memo holds each distinct sub-certificate once, far fewer than
+    # the log's nodes
     m = 6
     cache = str(tmp_path / "m6")
     cold = verify_saxl(m, cache_dir=cache)
     assert cold["complete"]
     with open(prover.log_path(cache, m), "rb") as fh:
-        lines = fh.read().splitlines(keepends=True)
+        log = fh.read()
+    lines = expanded_bytes(log).splitlines(keepends=True)
     assert len(lines) == cold["total"] == 792
     nodes = 0
     for line in lines:
@@ -747,14 +855,39 @@ def test_verify_saxl_warm_rerun_verifies_each_distinct_subtree_once(tmp_path, ca
             todo.extend(todo.pop()["children"])
     distinct = _distinct_subtrees(lines)
     assert distinct < nodes - len(lines)
-    backwards = str(tmp_path / "backwards")
-    os.makedirs(backwards)
-    with open(prover.log_path(backwards, m), "wb") as fh:
-        fh.writelines(lines[::-1])
-    for warm in (cache, backwards):
+    assert len(log) < len(b"".join(lines)) * 0.6
+    inline = _write_log(str(tmp_path / "inline"), m, lines)
+    backwards = _write_log(str(tmp_path / "backwards"), m, lines[::-1])
+    for warm in (cache, inline, backwards):
         capsys.readouterr()
         assert _rerun(warm, m) == []
         assert capsys.readouterr().err.splitlines()[-1] == (
             "saxl m=6 cache: 792 targets proved from the log, 0 from legacy files, "
             "0 in this run; log lines rejected: none; distinct sub-certificates "
             "verified from the log: %d" % distinct)
+
+
+def test_verify_saxl_warm_read_parses_each_goal_string_once(tmp_path, monkeypatch):
+    # below the roots, over the log as written and over its lines with the
+    # references inlined; a root's strings go through a bounded cache
+    m = 6
+    lines = _cold_log(tmp_path, m)
+    logs = {"refs": lines, "inline": expanded_bytes(b"".join(lines)).splitlines(keepends=True)}
+    for name, log in logs.items():
+        cache = _write_log(str(tmp_path / name), m, log)
+        parsed = []
+        parse = pt.parse_partition
+        monkeypatch.setattr(pt, "parse_partition",
+                            lambda text: parsed.append(text) or parse(text))
+        assert verify_saxl(m, cache_dir=cache)["complete"]
+        monkeypatch.undo()
+        goals = {goal for doc in map(json.loads, log)
+                 for node in inline_nodes(doc) for goal in node["goal"]}
+        assert sorted(parsed) == sorted(goals)
+
+
+def test_verify_saxl_encodes_nothing_without_a_cache(monkeypatch):
+    encoded = []
+    monkeypatch.setattr(Certificate, "to_json", lambda *args: encoded.append(args))
+    assert verify_saxl(4)["complete"]
+    assert encoded == []

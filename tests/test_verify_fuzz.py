@@ -7,9 +7,11 @@ certificate, with huge one-row goals among the rows.  For every input that
 decodes, `verify_certificate` must return (bool, str) without raising, and a
 goal it accepts with n <= 8 must be positive according to the oracle.
 Decoding, with or without a table of shared nodes, must agree with a
-reference copy of the plain decoder.  Sequences of certificates verified over
-one table and one memo, as the saxl log reader verifies its lines, must get
-the verdicts of verifying each certificate alone.
+reference copy of the plain decoder, and decoding as a line of a log must too
+for every input it accepts.  Sequences of certificates verified over one
+table and one memo, as the saxl log reader verifies its lines, must get the
+verdicts of verifying each certificate alone, also once they are written as
+a log whose lines refer back to each other.
 """
 
 import copy
@@ -19,7 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kronwork import characters as ch
 from kronwork import partitions as pt
-from kronwork.certificates import DECODE_ERRORS, INNER_KINDS, LEAF_KINDS, Certificate
+from kronwork.certificates import DECODE_ERRORS, INNER_KINDS, LEAF_KINDS, Certificate, Table
 from kronwork.prover import prove_in_staircase_square
 from kronwork.verify import verify_certificate
 
@@ -147,7 +149,10 @@ def _outcome(decode, doc):
 def check_verifier(doc):
     want = _outcome(_decode_reference, doc)
     assert _outcome(Certificate.from_dict, doc) == want
-    assert _outcome(lambda d: Certificate.from_dict(d, {}), doc) == want
+    assert _outcome(lambda d: Certificate.from_dict(d, Table()), doc) == want
+    # a line holds no reference to an earlier line; a list child is an error
+    line = _outcome(lambda d: Certificate.from_json(json.dumps(d), Table(), 1), doc)
+    assert line == want or type(line) is type(want) is tuple
     try:
         cert = Certificate.from_dict(doc)
     except DECODE_ERRORS:
@@ -257,7 +262,8 @@ def test_one_table_and_memo_give_the_verdicts_of_independent_verification(data):
         if docs and data.draw(st.booleans()):
             doc = _changed_copy(data, data.draw(st.sampled_from(docs)))
         docs.append(doc or data.draw(st.sampled_from(SHARED)))
-    table, memo = {}, {}
+    table, memo = Table(), {}
+    writer, lines = Table(), []
     for doc in docs:
         text = json.dumps(doc)
         shared, error = _decode(text, table)
@@ -265,7 +271,14 @@ def test_one_table_and_memo_give_the_verdicts_of_independent_verification(data):
         assert error == want_error
         if alone is not None:
             assert shared.to_json() == alone.to_json()
-            assert verify_certificate(shared, memo=memo) == verify_certificate(alone)
+            verdict = verify_certificate(alone)
+            assert verify_certificate(shared, memo=memo) == verdict
+            lines.append((alone.to_json(writer, len(lines) + 1), alone.to_json(), verdict))
+    reader, memo = Table(), {}
+    for number, (text, want, verdict) in enumerate(lines, 1):
+        cert = Certificate.from_json(text, reader, number)
+        assert cert.to_json() == want
+        assert verify_certificate(cert, memo=memo) == verdict
 
 
 def test_memo_does_not_trust_a_new_object_where_a_passed_one_was():
