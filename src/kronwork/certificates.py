@@ -35,7 +35,24 @@ _parse_goal_text = lru_cache(maxsize=256)(pt.parse_partition)
 
 # json.loads less its encoding detection, which a log of UTF-8 lines does
 # not need: 0.5 us a line
-_json = json.JSONDecoder().decode
+_decoder = json.JSONDecoder()
+
+
+def _json(text):
+    """_decoder.decode(text), less its two whitespace matches on a line
+    that starts with an object: the decoder's own scan at 0, accepted only
+    if JSON whitespace alone follows.  Any other text, and a scan that finds
+    no value (StopIteration, which decode turns into its own error), go to
+    decode; any other error is the one decode raises from the same scan."""
+    if type(text) is str and text[:1] == "{":
+        try:
+            d, end = _decoder.scan_once(text, 0)
+        except StopIteration:
+            pass
+        else:
+            if not text[end:].strip(" \t\n\r"):
+                return d
+    return _decoder.decode(text)
 
 
 class _Goals(dict):

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 from . import partitions as pt
 from .certificates import (
-    base_dominance,
     base_generalized_dominance,
     combine_h,
     conjugate_cert,
@@ -249,9 +248,7 @@ def cut_tail(mu, targets, C):
     piece_certs = []
     for (s, _, _), colset in zip(pieces, log.pieces):
         part = pt.from_columns(colset)
-        cert = base_dominance(s, part)
-        if cert is None:
-            cert = prove_in_staircase_square(s, part)
+        cert = prove_in_staircase_square(s, part)
         if cert is None:
             # walk the piece toward the staircase until it is provable
             for step in pt.move_trace(part, pt.staircase(s))[1:]:
@@ -259,9 +256,7 @@ def cut_tail(mu, targets, C):
                 part = step
                 colset[:] = list(pt.conjugate(part))
                 log.trace.append(log._shape())
-                cert = base_dominance(s, part)
-                if cert is None:
-                    cert = prove_in_staircase_square(s, part)
+                cert = prove_in_staircase_square(s, part)
                 if cert is not None:
                     break
         piece_certs.append(cert)

@@ -29,7 +29,7 @@ def parse_partition(text):
     text = text.strip()
     if not text:
         return ()
-    return check_partition(map(int, text.split(",")))
+    return check_partition(text.split(","))
 
 
 def format_partition(lam):

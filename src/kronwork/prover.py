@@ -527,15 +527,16 @@ def _read_log(path, targets, rho, ceiling, proved, rejected, table):
     verifies.  A later line for a proved target is skipped unverified; any
     other line is a miss, and stderr says why.  The lines are decoded over
     one table, where a reference to an earlier line resolves to the node
-    decoded there, and verified over one memo, so a sub-certificate that
-    recurs across lines, as the staircase pieces do, is one object, checked
-    once; each line is still verified in full.
+    decoded there, and verified over one memo and one dict of factor
+    shapes, so a sub-certificate or a factor that recurs across lines, as
+    the staircase pieces do, is one object, checked once; each line is still
+    verified in full.
     """
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
         return 0, 0, 0
-    memo = {}
+    memo, shapes = {}, {}
     hits = nxt = number = 0
     with fh:
         for number, line in enumerate(fh, 1):
@@ -552,7 +553,8 @@ def _read_log(path, targets, rho, ceiling, proved, rejected, table):
                     continue
                 else:
                     nxt = i + 1
-                    ok, msg = verify_certificate(cert, ceiling=ceiling, memo=memo)
+                    ok, msg = verify_certificate(cert, ceiling=ceiling, memo=memo,
+                                                 shapes=shapes)
                     if ok:
                         proved[i] = True
                         hits += 1

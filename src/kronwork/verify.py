@@ -7,6 +7,7 @@ and OracleLeaf and the inner kinds HSum, VVHSum and Conjugate; a node of
 any other kind fails as unknown.
 """
 
+from functools import lru_cache
 from itertools import accumulate, chain, repeat, starmap, zip_longest
 from operator import add, ge, sub
 
@@ -60,6 +61,7 @@ def _multiset_sum(a, b):
     return tuple(sorted(a + b, reverse=True))
 
 
+@lru_cache(maxsize=64)
 def _stair(m):
     return tuple(range(m, 0, -1))
 
@@ -77,7 +79,8 @@ class VerificationFailure(Exception):
     pass
 
 
-def verify_certificate(cert, ceiling=characters.DEFAULT_ORACLE_CEILING, memo=None):
+def verify_certificate(cert, ceiling=characters.DEFAULT_ORACLE_CEILING, memo=None,
+                       shapes=None):
     """Walk the tree and re-check every rule.  Returns (ok, message).
 
     A memo, a dict that the caller keeps across calls, records every
@@ -92,7 +95,17 @@ def verify_certificate(cert, ceiling=characters.DEFAULT_ORACLE_CEILING, memo=Non
     one object, as `Certificate.from_json` decodes them with a table.
     Roots are not kept, so the memo holds only the shared pieces.
 
-    The saxl log reader keeps one table and one memo for the whole log.  The
+    shapes, another dict the caller may keep across calls, maps the id of
+    every factor (an entry of a goal past the target) that passed the
+    partition check to the factor and its size, so each factor object is
+    checked once while the dict lives; a target is checked at every node.
+    This is sound because the dict holds the factor, so its id is not
+    reused, and a tuple of ints does not change.  Without one, each call
+    keeps its own.
+
+    The saxl log reader keeps one table, one memo and one shapes dict for
+    the whole log, where the factors are a few objects (41 distinct ones for
+    the 9,510 factor entries of the m=7 log: rho_m and its pieces).  The
     reader of the legacy one-file-per-target cache keeps neither: it is a
     fallback for caches from before the log, and there the memo traded
     memory for time (warm m=8 over 17,977 files on 2 cores, Python 3.11.7:
@@ -103,7 +116,7 @@ def verify_certificate(cert, ceiling=characters.DEFAULT_ORACLE_CEILING, memo=Non
     seen = {} if memo is None else memo
     new = id(cert) not in seen
     try:
-        _verify(cert, ceiling, 0, seen)
+        _verify(cert, ceiling, 0, seen, {} if shapes is None else shapes)
     except VerificationFailure as e:
         return False, str(e)
     if new:
@@ -115,27 +128,28 @@ def _fail(cert, why):
     raise VerificationFailure("%s node with goal %r: %s" % (cert.kind, cert.goal, why))
 
 
-def _staircase(cert):
+def _staircase(cert, n):
     """The staircase of meta.m, built only after m is checked against the
-    goal size and the row count of every factor, so it is no longer than
+    goal size n and the row count of every factor, so it is no longer than
     the input."""
     m = cert.meta.get("m")
     if type(m) is not int or m < 0:
         _fail(cert, "m is not a non-negative integer")
-    if m * (m + 1) // 2 != _wt(cert.goal[0]):
+    if m * (m + 1) // 2 != n:
         _fail(cert, "the staircase of m does not have the goal size")
     if any(len(f) != m for f in cert.goal[1:]):
         _fail(cert, "factors are not the staircase of %r" % m)
     return _stair(m)
 
 
-def _verify(cert, ceiling, depth, seen):
+def _verify(cert, ceiling, depth, seen, shapes):
     """Check cert at the given depth and return the height of its subtree.
 
     seen maps the id of every node that has passed, in this walk or in the
     walks of a memo, to the node and its height, so a node shared by several
     parents is checked once; the walk is then bounded by the number of
-    distinct nodes, not of paths.
+    distinct nodes, not of paths.  shapes maps the id of every factor that
+    is a partition to the factor and its size (see `verify_certificate`).
     """
     if depth > MAX_DEPTH:
         raise VerificationFailure("certificate tree too deep")
@@ -148,16 +162,25 @@ def _verify(cert, ceiling, depth, seen):
     goal = cert.goal
     if type(goal) is not tuple or len(goal) < 3:
         _fail(cert, "goal needs a target and at least two factors")
-    for p in goal:
-        if type(p) is not tuple or not _is_partition(p):
-            _fail(cert, "goal entry is not a partition: %r" % (p,))
+    nu = goal[0]
+    if type(nu) is not tuple or not _is_partition(nu):
+        _fail(cert, "goal entry is not a partition: %r" % (nu,))
+    n = _wt(nu)
+    equal = True
+    for p in goal[1:]:
+        hit = shapes.get(id(p))
+        if hit is None:
+            if type(p) is not tuple or not _is_partition(p):
+                _fail(cert, "goal entry is not a partition: %r" % (p,))
+            hit = shapes[id(p)] = (p, _wt(p))
+        equal = equal and hit[1] == n
     if not isinstance(cert.meta, dict):
         _fail(cert, "meta is not a mapping")
     if type(cert.children) is not tuple or not all(
         map(isinstance, cert.children, repeat(type(cert)))
     ):
         _fail(cert, "children are not a tuple of certificates")
-    if len(set(map(_wt, goal))) != 1:
+    if not equal:
         _fail(cert, "goal entries have unequal sizes")
 
     kind = cert.kind
@@ -165,21 +188,19 @@ def _verify(cert, ceiling, depth, seen):
     if kind in _LEAF_KINDS and cert.children:
         _fail(cert, "leaves must have no children")
     if kind == "DominanceStaircase":
-        rho = _staircase(cert)
+        rho = _staircase(cert, n)
         if any(f != rho for f in goal[1:]):
             _fail(cert, "factors are not the staircase of %r" % len(rho))
-        nu = goal[0]
         if not (_dominates(nu, rho) or _dominates(rho, nu)):
             _fail(cert, "target is not dominance-comparable to the staircase")
     elif kind == "Hook":
-        rho = _staircase(cert)
+        rho = _staircase(cert, n)
         if goal[1:] != (rho, rho):
             _fail(cert, "factors are not a staircase pair")
-        nu = goal[0]
         if not nu or any(r != 1 for r in nu[1:]):
             _fail(cert, "target is not a hook")
     elif kind == "GeneralizedDominance":
-        nu, mu1, mu2 = goal[0], goal[1], goal[2]
+        mu1, mu2 = goal[1], goal[2]
         if len(goal) != 3 or mu1 != mu2:
             _fail(cert, "goal must be (nu; mu, mu)")
         if any(mu1[i] <= mu1[i + 1] for i in range(len(mu1) - 1)):
@@ -204,7 +225,6 @@ def _verify(cert, ceiling, depth, seen):
         else:
             _fail(cert, "unsupported arity")
     elif kind == "OracleLeaf":
-        n = _wt(goal[0])
         if ceiling is not None and n > ceiling:
             _fail(cert, "oracle leaf above the ceiling (n=%d)" % n)
         coeff = characters.multi_kronecker(goal, ceiling=ceiling)
@@ -215,15 +235,15 @@ def _verify(cert, ceiling, depth, seen):
             _fail(cert, "claimed coefficient %s != %d" % (claimed, coeff))
     elif kind == "HSum":
         a, b = _two_children(cert)
-        height = 1 + max(_verify(a, ceiling, depth + 1, seen),
-                         _verify(b, ceiling, depth + 1, seen))
+        height = 1 + max(_verify(a, ceiling, depth + 1, seen, shapes),
+                         _verify(b, ceiling, depth + 1, seen, shapes))
         want = tuple(map(_row_sum, a.goal, b.goal))
         if tuple(goal) != want:
             _fail(cert, "goal is not the rowwise sum of the children")
     elif kind == "VVHSum":
         a, b = _two_children(cert)
-        height = 1 + max(_verify(a, ceiling, depth + 1, seen),
-                         _verify(b, ceiling, depth + 1, seen))
+        height = 1 + max(_verify(a, ceiling, depth + 1, seen, shapes),
+                         _verify(b, ceiling, depth + 1, seen, shapes))
         vertical = _coord_set(cert, "vertical")
         want = tuple(
             _multiset_sum(x, y) if i in vertical else _row_sum(x, y)
@@ -233,7 +253,7 @@ def _verify(cert, ceiling, depth, seen):
             _fail(cert, "goal does not match the recorded sums")
     elif kind == "Conjugate":
         (a,) = _one_child(cert)
-        height = 1 + _verify(a, ceiling, depth + 1, seen)
+        height = 1 + _verify(a, ceiling, depth + 1, seen, shapes)
         coords = _coord_set(cert, "coords")
         # the conjugate of p has p[0] rows: compared before it is built
         if any(len(goal[i]) != max(a.goal[i], default=0) for i in coords):
@@ -260,12 +280,26 @@ def _coord_set(cert, key):
         _fail(cert, "%s is not a list of coordinates" % key)
     if any(type(c) is not int for c in coords):
         _fail(cert, "%s holds a non-integer coordinate" % key)
+    # the rows are exact ints, so the tuple keys the check soundly (1.0 and
+    # True hash as 1); a list longer than the arity fails it and is not kept
+    arity = len(cert.goal)
+    check = _even_coords if len(coords) <= arity else _even_coords.__wrapped__
+    out = check(tuple(coords), arity)
+    if type(out) is str:
+        _fail(cert, out % key)
+    return out
+
+
+@lru_cache(maxsize=256)
+def _even_coords(coords, arity):
+    """The set of the ints coords, or why they are not an even set of
+    distinct coordinates below arity, with a %s for the meta key."""
     if len(set(coords)) != len(coords):
-        _fail(cert, "%s repeats a coordinate" % key)
-    if any(c < 0 or c >= len(cert.goal) for c in coords):
-        _fail(cert, "%s coordinate out of range" % key)
+        return "%s repeats a coordinate"
+    if any(c < 0 or c >= arity for c in coords):
+        return "%s coordinate out of range"
     if len(coords) % 2 != 0:
-        _fail(cert, "%s is an odd coordinate set" % key)
+        return "%s is an odd coordinate set"
     return frozenset(coords)
 
 

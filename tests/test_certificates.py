@@ -239,6 +239,21 @@ def test_verifier_rejects_repeated_or_out_of_range_conjugation(coords):
     assert ch.kronecker((1, 1, 1), (3,), (3,)) == 0
 
 
+def test_a_coordinate_list_that_passed_is_checked_again_at_another_arity_or_type():
+    # the check of a list of int coordinates is cached by the list and the
+    # arity: [1, 3] passes on a 4-ary node, not on a 3-ary one, and [True, 3]
+    # is not [1, 3]
+    cube = ct.base_symmetric_cube((2, 1))
+    assert verify_certificate(ct.conjugate_cert(cube, [1, 3])) == (True, "ok")
+    leaf = ct.base_generalized_dominance((2, 1), (2, 1))
+    ok, msg = verify_certificate(ct.Certificate("Conjugate", leaf.goal, (leaf,),
+                                                {"coords": [1, 3]}))
+    assert not ok and msg.endswith("coords coordinate out of range")
+    ok, msg = verify_certificate(ct.Certificate("Conjugate", cube.goal, (cube,),
+                                                {"coords": [True, 3]}))
+    assert not ok and msg.endswith("coords holds a non-integer coordinate")
+
+
 @pytest.mark.parametrize("kind, meta", [("Conjugate", {"coords": [2, 3]})])
 def test_verifier_rejects_a_one_child_node_of_another_arity(kind, meta):
     # a 4-ary node over a valid 3-ary leaf: coordinate 3 of the child's goal
@@ -499,3 +514,38 @@ def test_decoding_with_a_table_shares_equal_subtrees_only():
                 ct.Certificate.from_json(wrap(doc), tab)
     # of these only the leaf whose meta is given as pairs decodes, and is kept
     assert len(table.nodes) == 1 + len(variants) + 1
+
+
+_LINE = json.dumps({"kind": "OracleLeaf", "goal": ["2,1", "2,1", "2,1"], "children": [],
+                    "meta": {"coefficient": "1"}})
+
+
+@pytest.mark.parametrize("text", [
+    _LINE, "  " + _LINE, "\t" + _LINE, _LINE + "\n", _LINE + " \t\r\n ",
+    # whitespace to str.strip but not to JSON
+    _LINE + "\x0c", _LINE + " \n", "\x0c" + _LINE,
+    _LINE + " {}", _LINE + "x", _LINE + _LINE, _LINE[:-7], "{", '{"kind": ', "{}",
+    "", "\n", "   ", "[1, 2]", '"{"', "\ufeff" + _LINE,
+    _LINE.replace('"1"}', "NaN}"), _LINE.replace('"1"}', "Infinity}"),
+    '{"kind": ' + "[" * 100000 + "]" * 100000 + "}",
+    '{"a": ' * 100000 + "1" + "}" * 100000,
+    _LINE.replace('"2,1", "2,1", "2,1"', '"2,1", "2,1", 1e999'),
+    '{"kind": 1' + "0" * 5000 + "}",
+], ids=lambda text: repr(text[:12] + text[-8:]))
+def test_a_log_line_decodes_and_fails_as_with_the_plain_decoder(monkeypatch, text):
+    # the decoder scans a line that starts with an object once; what it
+    # returns or raises must be what json.loads gives, also as a log line,
+    # less its encoding detection (which turns away a leading BOM with
+    # another message)
+    def outcome():
+        out = []
+        for args in ((text,), (text, ct.Table(), 1), (text.encode(),)):
+            try:
+                out.append(ct.Certificate.from_json(*args).to_json())
+            except ct.DECODE_ERRORS as e:
+                out.append((type(e), str(e)))
+        return out
+
+    got = outcome()
+    monkeypatch.setattr(ct, "_json", json.JSONDecoder().decode)
+    assert got == outcome()

@@ -256,6 +256,7 @@ COLD_LOG_SHA256 = {
     4: "1a6ecdbe8da0060bf509fa1e03301a080468d539aae3951861e746340f92459e",
     5: "803e80729c4bb7d3b930739b36e187bcebd579f02ca2fae08533e00e6dbbf859",
     6: "68c32ad6a99ddeeddba5b8bb8946758ac41415e0e04a9e285840ff4dbb3f3d14",
+    7: "73d724ca81692012bab108e3567bb1b300c6e03bab915ddcc0e3352a9cea1cae",
 }
 # and of the log as written; up to m = 4 no sub-certificate repeats, so the
 # log has no reference
@@ -263,6 +264,7 @@ COLD_LOG_RAW_SHA256 = {
     **COLD_LOG_SHA256,
     5: "121955b8e5e404e719f059a22926d9c6ce708e0052f8939443277af66b7cfdd4",
     6: "9e60b04f4203c5eb2dc158f4a5c233d626a77fece28a6d0e166e548f254b5c7a",
+    7: "2ecbbdbdafe6521b9e2573eada50be2dad5456abb4e4a826e241864b879085b0",
 }
 
 

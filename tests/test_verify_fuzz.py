@@ -9,14 +9,16 @@ goal it accepts with n <= 8 must be positive according to the oracle.
 Decoding, with or without a table of shared nodes, must agree with a
 reference copy of the plain decoder, and decoding as a line of a log must too
 for every input it accepts.  Sequences of certificates verified over one
-table and one memo, as the saxl log reader verifies its lines, must get the
-verdicts of verifying each certificate alone, also once they are written as
-a log whose lines refer back to each other.
+table, one memo and one dict of factor shapes, as the saxl log reader
+verifies its lines, must get the verdicts of verifying each certificate
+alone, also once they are written as a log whose lines refer back to each
+other.
 """
 
 import copy
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kronwork import characters as ch
@@ -262,7 +264,7 @@ def test_one_table_and_memo_give_the_verdicts_of_independent_verification(data):
         if docs and data.draw(st.booleans()):
             doc = _changed_copy(data, data.draw(st.sampled_from(docs)))
         docs.append(doc or data.draw(st.sampled_from(SHARED)))
-    table, memo = Table(), {}
+    table, memo, shapes = Table(), {}, {}
     writer, lines = Table(), []
     for doc in docs:
         text = json.dumps(doc)
@@ -272,13 +274,13 @@ def test_one_table_and_memo_give_the_verdicts_of_independent_verification(data):
         if alone is not None:
             assert shared.to_json() == alone.to_json()
             verdict = verify_certificate(alone)
-            assert verify_certificate(shared, memo=memo) == verdict
+            assert verify_certificate(shared, memo=memo, shapes=shapes) == verdict
             lines.append((alone.to_json(writer, len(lines) + 1), alone.to_json(), verdict))
-    reader, memo = Table(), {}
+    reader, memo, shapes = Table(), {}, {}
     for number, (text, want, verdict) in enumerate(lines, 1):
         cert = Certificate.from_json(text, reader, number)
         assert cert.to_json() == want
-        assert verify_certificate(cert, memo=memo) == verdict
+        assert verify_certificate(cert, memo=memo, shapes=shapes) == verdict
 
 
 def test_memo_does_not_trust_a_new_object_where_a_passed_one_was():
@@ -296,3 +298,55 @@ def test_memo_does_not_trust_a_new_object_where_a_passed_one_was():
                                      memo=memo)
         assert not ok and "staircase of m" in msg
     assert len(memo) == 50
+
+
+@FUZZ
+@given(st.data())
+def test_one_memo_and_shapes_give_the_verdicts_of_none_on_the_fuzz_corpus(data):
+    # the mutated and random certificates above, decoded over one table so
+    # that equal goal strings are one factor object across certificates
+    table, memo, shapes = Table(), {}, {}
+    for _ in range(data.draw(st.integers(2, 6))):
+        doc = _mutate(data) if data.draw(st.booleans()) else data.draw(RANDOM_CERTS)
+        try:
+            alone = Certificate.from_dict(doc)
+            shared = Certificate.from_dict(doc, table)
+        except DECODE_ERRORS:
+            continue
+        assert verify_certificate(shared, memo=memo, shapes=shapes) == verify_certificate(alone)
+
+
+def test_a_factor_that_passed_is_held_to_the_size_of_each_goal():
+    # rho passes as a factor of size 3; the same object under a target of
+    # size 4, in a later certificate, still fails
+    rho = (2, 1)
+    leaf = Certificate("DominanceStaircase", ((3,), rho, rho), meta={"m": 2})
+    other = Certificate("OracleLeaf", ((4,), rho, rho))
+    memo, shapes = {}, {}
+    assert verify_certificate(leaf, memo=memo, shapes=shapes) == (True, "ok")
+    for kwargs in ({}, {"memo": memo, "shapes": shapes}):
+        ok, msg = verify_certificate(other, **kwargs)
+        assert not ok and msg == "OracleLeaf node with goal %r: %s" % (
+            other.goal, "goal entries have unequal sizes")
+
+
+class _Rows(tuple):
+    """Rows equal to a partition, in a tuple subclass."""
+
+
+@pytest.mark.parametrize("factor, verdict", [
+    ((2.0, 1), "goal entry is not a partition: (2.0, 1)"),
+    ((2, 1.0), "goal entry is not a partition: (2, 1.0)"),
+    (_Rows((2, 1)), "goal entry is not a partition: (2, 1)"),
+    ((2, True), "ok"),  # a bool is an int row, as it always was
+    ((True, True, True), "factors are not the staircase of 2"),
+], ids=["float-row", "float-last-row", "tuple-subclass", "bool-row", "bool-rows"])
+def test_factor_rows_keep_their_verdict_after_an_equal_factor_passed(factor, verdict):
+    rho = (2, 1)
+    memo, shapes = {}, {}
+    leaf = Certificate("DominanceStaircase", ((3,), rho, rho), meta={"m": 2})
+    assert verify_certificate(leaf, memo=memo, shapes=shapes) == (True, "ok")
+    cert = Certificate("DominanceStaircase", ((3,), rho, factor), meta={"m": 2})
+    for kwargs in ({}, {"memo": memo, "shapes": shapes}):
+        ok, msg = verify_certificate(cert, **kwargs)
+        assert ok is (verdict == "ok") and msg.endswith(verdict)
