@@ -8,7 +8,6 @@ make and the verifier accepts.
 
 import json
 from array import array
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import partitions as pt
@@ -160,12 +159,48 @@ class Table:
         return refs
 
 
-@dataclass(frozen=True)
+_FRESH_META = object()  # meta omitted: each node gets its own {}
+_set_field = object.__setattr__
+
+
 class Certificate:
-    kind: str
-    goal: tuple
-    children: tuple = ()
-    meta: dict = field(default_factory=dict)
+    """A node of a certificate: its kind, goal, children and meta.
+
+    Frozen: assigning or deleting a field raises AttributeError, which the
+    verifier's memo by identity relies on.  Two nodes are == when their
+    class and fields are; a node is unhashable, as meta is a dict.  A meta
+    passed in, None too, is kept as given, for the verifier to judge.
+    """
+
+    __slots__ = ("kind", "goal", "children", "meta")
+
+    def __init__(self, kind, goal, children=(), meta=_FRESH_META):
+        _set_field(self, "kind", kind)
+        _set_field(self, "goal", goal)
+        _set_field(self, "children", children)
+        _set_field(self, "meta", {} if meta is _FRESH_META else meta)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.goal, self.children, self.meta)
+                == (other.kind, other.goal, other.children, other.meta))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "%s(kind=%r, goal=%r, children=%r, meta=%r)" % (
+            self.__class__.__qualname__, self.kind, self.goal, self.children, self.meta)
+
+    def __reduce__(self):
+        # pickle through the constructor, as the fields cannot be set after it
+        return (self.__class__, (self.kind, self.goal, self.children, self.meta))
 
     def to_dict(self):
         return {

@@ -6,15 +6,12 @@ nonzero is reserved for usage and IO errors.
 """
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 
 from . import characters as ch
-from . import decomp
 from . import partitions as pt
-from . import samplers as sp
 from .certificates import DECODE_ERRORS, Certificate
 from .prover import (
     Budget,
@@ -23,6 +20,9 @@ from .prover import (
     verify_saxl,
 )
 from .verify import verify_certificate
+
+# decomp and samplers are imported by the commands that use them, so that
+# the others start without loading them
 
 CACHE_ENV = "KRONWORK_CACHE"
 
@@ -63,7 +63,7 @@ def _cmd_kron(args):
             if t:
                 factors.append(pt.parse_partition(t))
     if len(factors) < 2:
-        raise SystemExit("kron needs at least two partitions")
+        raise ValueError("kron needs at least two partitions")
     coeff = ch.multi_kronecker(tuple(factors), ceiling=args.oracle_ceiling)
     return {
         "factors": [pt.format_partition(f) for f in factors],
@@ -129,6 +129,8 @@ def _cmd_verify_cert(args):
 
 
 def _cmd_decompose(args):
+    from . import decomp
+
     if args.i is not None:
         d = decomp.layer_decomposition(args.m, args.k, args.i, smooth=args.smooth)
         return {
@@ -150,15 +152,20 @@ def _cmd_decompose(args):
 
 
 def _cmd_sample(args):
+    from . import samplers as sp
+
     shape = {
         "plancherel": sp.PLANCHEREL_RUSSIAN,
         "uniform": sp.UNIFORM_RUSSIAN,
     }[args.measure]
     rep = sp.sample_report(args.measure, args.n, args.samples, args.seed, shape=shape)
-    return dataclasses.asdict(rep)
+    return vars(rep)
 
 
 def _cmd_experiment(args):
+    from . import decomp
+    from . import samplers as sp
+
     need = "m" if args.kind == "coverage" else "n"
     if getattr(args, need) is None:
         raise ValueError("experiment --kind %s needs --%s" % (args.kind, need))
@@ -185,11 +192,7 @@ def _cmd_experiment(args):
             "verified": ok,
             "message": msg,
         }
-    else:
-        raise SystemExit("unknown experiment %r" % args.kind)
-    doc = dataclasses.asdict(rep)
-    doc["kind"] = args.kind
-    return doc
+    return dict(vars(rep), kind=args.kind)
 
 
 def _cmd_distance(args):

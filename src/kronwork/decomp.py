@@ -3,7 +3,6 @@ partition from an irregular staircase square with a short run of block
 moves."""
 
 import math
-from dataclasses import dataclass
 
 from . import partitions as pt
 from .certificates import (
@@ -25,14 +24,14 @@ def replay(recipe):
     return pt.fold(recipe, lambda s: pt.staircase(max(0, s)), pt.hsum, pt.vsum)
 
 
-@dataclass
 class LayerDecomposition:
     """A staircase written as a sum of smaller staircases."""
 
-    m: int
-    core: tuple
-    flakes: list
-    recipe: tuple
+    def __init__(self, m, core, flakes, recipe):
+        self.m = m
+        self.core = core
+        self.flakes = flakes
+        self.recipe = recipe
 
     def replay(self):
         return replay(self.recipe)
@@ -115,20 +114,21 @@ def caret_decompose(k):
                               recipe=recipe)
 
 
-@dataclass
 class CutTailResult:
     """Adjustment of a partition onto a horizontal sum of staircases."""
 
-    mu: tuple
-    mu_hat: tuple
-    targets: list
-    parts: list
-    part_certs: list
-    certificate: object
-    trace: list
-    structured_moves: int
-    exceptional_moves: int
-    bound: int
+    def __init__(self, mu, mu_hat, targets, parts, part_certs, certificate,
+                 trace, structured_moves, exceptional_moves, bound):
+        self.mu = mu
+        self.mu_hat = mu_hat
+        self.targets = targets
+        self.parts = parts
+        self.part_certs = part_certs
+        self.certificate = certificate
+        self.trace = trace
+        self.structured_moves = structured_moves
+        self.exceptional_moves = exceptional_moves
+        self.bound = bound
 
     @property
     def moves(self):

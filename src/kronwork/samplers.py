@@ -9,7 +9,6 @@ small experiments that report aggregate statistics.
 import bisect
 import math
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import partitions as pt
@@ -199,13 +198,13 @@ def wilson_interval(hits, trials, z=1.96):
 # experiments
 
 
-@dataclass
 class SampleReport:
-    measure: str
-    n: int
-    samples: int
-    seed: int
-    stats: dict = field(default_factory=dict)
+    def __init__(self, measure, n, samples, seed, stats=None):
+        self.measure = measure
+        self.n = n
+        self.samples = samples
+        self.seed = seed
+        self.stats = {} if stats is None else stats
 
 
 def check_samples(samples):

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 import tracemalloc
 
@@ -142,6 +143,47 @@ def test_json_round_trip():
     back = ct.Certificate.from_json(c.to_json())
     assert back == c
     assert verify_certificate(back)[0]
+
+
+def test_certificate_is_a_frozen_value():
+    # what the verifier's memo by identity, the saxl pool (which pickles
+    # certificates back from its workers) and the tests rely on
+    c = ct.combine_h(ct.base_dominance(3, (3, 2, 1)), ct.base_oracle(((3,), (3,), (3,))))
+    for name in ("kind", "goal", "children", "meta", "other"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, None)
+        with pytest.raises(AttributeError):
+            delattr(c, name)
+    assert c.kind == "HSum" and len(c.children) == 2
+
+    same = ct.Certificate.from_json(c.to_json())
+    assert same == c and same is not c and not same != c
+    assert c != ct.Certificate(c.kind, c.goal, c.children, {"x": 1})
+    assert c != ct.Certificate("VVHSum", c.goal, c.children, c.meta)
+    assert c != (c.kind, c.goal, c.children, c.meta)
+
+    class Sub(ct.Certificate):
+        __slots__ = ()
+
+    assert Sub(c.kind, c.goal, c.children, c.meta) != c
+    with pytest.raises(TypeError):
+        hash(c)
+
+    cube = ct.base_symmetric_cube((1,))
+    assert repr(cube) == ("Certificate(kind='SymmetricCube', goal=((1,), (1,), (1,), (1,)), "
+                          "children=(), meta={})")
+
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(c, protocol))
+        assert back == c and type(back.children[0]) is ct.Certificate
+
+    g = ((1,),) * 3
+    a, b = ct.Certificate("Hook", g), ct.Certificate("Hook", g)
+    assert a.meta == b.meta == {} and a.meta is not b.meta
+    bad = ct.Certificate("DominanceStaircase", ((2, 1),) * 3, meta=None)
+    assert bad.meta is None
+    ok, msg = verify_certificate(bad)
+    assert not ok and msg.endswith("meta is not a mapping")
 
 
 def build_pool():

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +10,7 @@ from kronwork import cli
 from kronwork import partitions as pt
 from kronwork.verify import verify_certificate
 from kronwork.certificates import Certificate
+from kronwork.prover import prove_in_staircase_square
 from log_reference import expanded_bytes
 
 
@@ -31,6 +34,15 @@ def test_kron_factors(capsys):
 
 def test_kron_bad_partition(capsys):
     assert cli.dispatch(["kron", "--lambda", "1,2", "--mu", "3", "--nu", "3"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["--factors", "2,1"], ["--lambda", "2,1"]])
+def test_kron_with_one_partition_fails_like_other_bad_input(capsys, argv):
+    # used to raise SystemExit: exit code 1 and a bare message
+    assert cli.dispatch(["kron"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: kron needs at least two partitions\n"
 
 
 def test_support(capsys):
@@ -121,6 +133,38 @@ def test_saxl_pool_and_serial_write_the_same_cache(tmp_path, capsys):
     assert hashlib.sha256(log).hexdigest() == COLD_LOG_RAW_SHA256[5]
     with open(os.path.join(pool, "m5.jsonl"), "rb") as fh:
         assert fh.read() == log
+
+
+_FOOTPRINT = """
+import sys
+before = set(sys.modules)
+from kronwork import cli
+for argv in sys.argv[2:]:
+    assert cli.dispatch(argv.split()) == 0, argv
+with open(sys.argv[1], "w") as fh:
+    fh.write("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_certificate_commands_load_only_what_they_run(tmp_path):
+    # decomp and samplers are loaded by the commands that use them, and
+    # nothing loads dataclasses, which brings in inspect, ast and dis; the
+    # baseline is what the interpreter had loaded before kronwork.cli
+    cert = tmp_path / "cert.json"
+    cert.write_text(prove_in_staircase_square(4, (4, 3, 2, 1)).to_json())
+    added = tmp_path / "added.txt"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop(cli.CACHE_ENV, None)
+    subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, str(added),
+         "saxl --m 4 --threads 1 --cache %s" % (tmp_path / "cache"),
+         "prove --m 4 --nu 4,3,2,1", "kron --factors 2,1;2,1;2,1",
+         "verify-cert --file %s" % cert],
+        env=env, check=True, capture_output=True, timeout=120)
+    loaded = set(added.read_text().split())
+    assert "kronwork.cli" in loaded and "kronwork.verify" in loaded
+    assert not loaded & {"dataclasses", "inspect", "kronwork.decomp", "kronwork.samplers"}
 
 
 def test_decompose(capsys):
