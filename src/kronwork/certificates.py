@@ -218,40 +218,40 @@ class Certificate:
         return table.encode(self, line)
 
     @staticmethod
-    def from_dict(d, table=None):
-        """Decode a certificate; see `from_json` for the table."""
-        return _decode(d, table, None, False)
+    def from_dict(d):
+        """Decode a certificate from its `to_dict` form."""
+        return _decode(d, None, False)
 
     @staticmethod
     def from_json(text, table=None, line=None):
         """Decode a certificate from JSON text.
 
-        With a table (a `Table` that the caller keeps across calls), every
-        non-root node whose full content equals that of a node decoded
-        before is that node: kind, goal, children (by identity, as they are
-        shared already) and meta (typed and in order, so that 1, 1.0 and
-        true stay apart).  A verifier memo that trusts a node by identity
+        With a table (a `Table` that the caller keeps across calls) and a
+        line number, text is that line of a log, read right after the lines
+        before it: each reference resolves to the node it names (see
+        `Table`), and a malformed one is a ValueError.  Every non-root node
+        whose full content equals that of a node decoded before is that
+        node: kind, goal, children (by identity, as they are shared
+        already) and meta (typed and in order, so that 1, 1.0 and true stay
+        apart).  A verifier memo that trusts a node by identity
         (`verify_certificate`) is therefore sound over the decoded
         certificates, as two nodes that differ in any field are two
         objects.  A node the key cannot hold exactly is decoded unshared,
-        and an input is rejected with the error it gets without a table.
-        The table holds every distinct sub-certificate while it lives, which
-        is why the saxl log reader keeps one and the legacy per-file reader,
-        a fallback for old caches, does not (see `verify_certificate`).
-
-        With a line number too, text is that line of a log, read right
-        after the lines before it: each reference resolves to the node it
-        names (see `Table`), and a malformed one is a ValueError.
+        and a line with no reference is rejected with the error it gets
+        without a table.  The table holds every distinct sub-certificate
+        while it lives, which is why the saxl log reader keeps one and the
+        legacy per-file reader, a fallback for old caches, does not (see
+        `verify_certificate`).
         """
         if type(text) is bytes:
             text = text.decode()
-        if line is None:
-            return _decode(_json(text), table, None, False)
+        if table is None:
+            return _decode(_json(text), None, False)
         inline, ends = table.inline, table.ends
         if line != len(ends):
-            raise ValueError("line %d is not the next line, %d" % (line, len(ends)))
+            raise ValueError("line %r is not the next line, %d" % (line, len(ends)))
         try:
-            return _decode(_json(text), table, inline, False)
+            return _decode(_json(text), table, False)
         except DECODE_ERRORS:
             del inline[ends[-1]:]
             raise
@@ -270,11 +270,12 @@ class Certificate:
         return {leaf.kind for leaf in self.leaves()}
 
 
-def _decode(d, table, inline, share):
-    """The certificate of the JSON object d; with `share` set, d is looked
-    up in the table and its goal strings are parsed through the table, and
-    with a table, so are its children's.  With `inline`, the list that the
-    log's inline non-root nodes are appended to, a child may be a reference.
+def _decode(d, table, share):
+    """The certificate of the JSON object d.  With a table, d is a line of
+    its log (or a node of one), a child may be a reference, and every
+    child is shared; with `share` set, d is looked up in the table, its
+    goal strings are parsed through the table, and it is appended to the
+    table's inline nodes.
 
     The fields are read in the order kind, goal, children, meta, so a bad
     goal is reported before any error below it.  The key holds the parsed
@@ -291,11 +292,11 @@ def _decode(d, table, inline, share):
     children = d["children"]
     if children == []:
         children = ()
-    elif inline is None:
-        children = tuple([_decode(c, table, None, table is not None) for c in children])
+    elif table is None:
+        children = tuple([_decode(c, None, False) for c in children])
     else:
         children = tuple([table.resolve(c) if type(c) is list
-                          else _decode(c, table, inline, True) for c in children])
+                          else _decode(c, table, True) for c in children])
     meta = d.get("meta", {})
     node = key = None
     if share and type(kind) is str:
@@ -308,8 +309,8 @@ def _decode(d, table, inline, share):
         node = Certificate(kind, goal, children, dict(meta))
         if key is not None:
             table.nodes[key] = node
-    if inline is not None and share:
-        inline.append(node)
+    if share:
+        table.inline.append(node)
     return node
 
 
@@ -360,10 +361,10 @@ def base_symmetric_cube(mu):
     return Certificate("SymmetricCube", (mu, mu, mu, mu))
 
 
-def base_oracle(goal, ceiling=ch.DEFAULT_ORACLE_CEILING):
+def base_oracle(goal):
     """Leaf established by the character oracle."""
     goal = tuple(tuple(g) for g in goal)
-    coeff = ch.multi_kronecker(goal, ceiling=ceiling)
+    coeff = ch.multi_kronecker(goal)
     if coeff <= 0:
         return None
     return Certificate("OracleLeaf", goal, meta={"coefficient": str(coeff)})

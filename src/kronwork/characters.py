@@ -16,12 +16,14 @@ from itertools import groupby
 
 from .partitions import check_partition, conjugate, partitions_of, size
 
+# The largest n the oracle computes a coefficient for; every caller and
+# the verifier use this one value.
 DEFAULT_ORACLE_CEILING = 14
 
 # Bounds of the character caches.  The whole character table of every
 # n <= DEFAULT_ORACLE_CEILING fills 508 rows per beta mask, 508 per shape,
-# 15 class-size tuples and 14 block layouts, so the default oracle never
-# evicts an entry.
+# 15 class-size tuples and 14 block layouts, so the oracle never evicts an
+# entry.
 _ROW_CACHE = 1024
 _CLASS_CACHE = 64
 
@@ -150,7 +152,7 @@ def _char_row(lam):
     return _mask_row(_beta_mask(rows), size(rows))
 
 
-def multi_kronecker(factors, ceiling=DEFAULT_ORACLE_CEILING):
+def multi_kronecker(factors):
     """Multiplicity of the trivial in the tensor product of the factors.
 
     For factors (l1, ..., lk) this is (1/n!) sum_rho |C_rho| prod chi^{li}(rho);
@@ -166,9 +168,9 @@ def multi_kronecker(factors, ceiling=DEFAULT_ORACLE_CEILING):
     n = size(factors[0])
     if any(size(f) != n for f in factors):
         raise ValueError("factors must have equal sizes")
-    if ceiling is not None and n > ceiling:
+    if n > DEFAULT_ORACLE_CEILING:
         raise OracleCeilingError(
-            "oracle ceiling %d exceeded by n=%d" % (ceiling, n)
+            "oracle ceiling %d exceeded by n=%d" % (DEFAULT_ORACLE_CEILING, n)
         )
     prod = _class_sizes(n)
     for f in factors:
@@ -181,20 +183,20 @@ def multi_kronecker(factors, ceiling=DEFAULT_ORACLE_CEILING):
     return coeff
 
 
-def kronecker(lam, mu, nu, ceiling=DEFAULT_ORACLE_CEILING):
+def kronecker(lam, mu, nu):
     """Kronecker coefficient g(lam, mu; nu)."""
-    return multi_kronecker((lam, mu, nu), ceiling=ceiling)
+    return multi_kronecker((lam, mu, nu))
 
 
-def tensor_square_support(lam, ceiling=DEFAULT_ORACLE_CEILING):
+def tensor_square_support(lam):
     """All nu with g(lam, lam; nu) > 0."""
     n = size(lam)
     return frozenset(
-        nu for nu in partitions_of(n) if kronecker(lam, lam, nu, ceiling) > 0
+        nu for nu in partitions_of(n) if kronecker(lam, lam, nu) > 0
     )
 
 
-def permutation_module_support(lam, ceiling=DEFAULT_ORACLE_CEILING):
+def permutation_module_support(lam):
     """Support of the natural permutation character tensored with lam.
 
     The n-dimensional permutation representation is the trivial one plus
@@ -202,17 +204,17 @@ def permutation_module_support(lam, ceiling=DEFAULT_ORACLE_CEILING):
     (empty for n = 0); used as the one-box-move cross-check.
     """
     n = size(lam)
-    if ceiling is not None and n > ceiling:
+    if n > DEFAULT_ORACLE_CEILING:
         raise OracleCeilingError("oracle ceiling exceeded")
     if n == 0:
         return frozenset()
     others = partitions_of(n) if n > 1 else ()
     return frozenset([tuple(lam)]).union(
-        mu for mu in others if kronecker(lam, (n - 1, 1), mu, ceiling) > 0
+        mu for mu in others if kronecker(lam, (n - 1, 1), mu) > 0
     )
 
 
-def saxl_exception_scan(n, ceiling=DEFAULT_ORACLE_CEILING):
+def saxl_exception_scan(n):
     """For each lam of n, the nu missing from the square of lam.
 
     Returns a dict lam -> sorted tuple of missing nu (empty when the square
@@ -222,7 +224,7 @@ def saxl_exception_scan(n, ceiling=DEFAULT_ORACLE_CEILING):
         raise ValueError("n must be non-negative, got %d" % n)
     out = {}
     for lam in partitions_of(n):
-        support = tensor_square_support(lam, ceiling)
+        support = tensor_square_support(lam)
         missing = tuple(
             nu for nu in partitions_of(n) if nu not in support
         )

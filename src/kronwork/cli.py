@@ -42,11 +42,6 @@ def _fmt(value):
     return value
 
 
-def _add_oracle_ceiling(sub):
-    """--oracle-ceiling, for the commands that use the oracle."""
-    sub.add_argument("--oracle-ceiling", type=int, default=ch.DEFAULT_ORACLE_CEILING)
-
-
 def _nonnegative(name, value):
     """Turn away a negative count, which would read as zero or as a default."""
     if value < 0:
@@ -64,7 +59,7 @@ def _cmd_kron(args):
                 factors.append(pt.parse_partition(t))
     if len(factors) < 2:
         raise ValueError("kron needs at least two partitions")
-    coeff = ch.multi_kronecker(tuple(factors), ceiling=args.oracle_ceiling)
+    coeff = ch.multi_kronecker(tuple(factors))
     return {
         "factors": [pt.format_partition(f) for f in factors],
         "coefficient": str(coeff),
@@ -73,7 +68,7 @@ def _cmd_kron(args):
 
 def _cmd_support(args):
     lam = pt.parse_partition(args.lam)
-    supp = ch.tensor_square_support(lam, ceiling=args.oracle_ceiling)
+    supp = ch.tensor_square_support(lam)
     return {
         "lambda": pt.format_partition(lam),
         "support": [pt.format_partition(p) for p in supp],
@@ -85,14 +80,14 @@ def _cmd_support(args):
 def _cmd_prove(args):
     nu = pt.parse_partition(args.nu)
     budget = Budget(_nonnegative("budget", args.budget))
-    cert = prove_in_staircase_square(args.m, nu, budget=budget, ceiling=args.oracle_ceiling)
+    cert = prove_in_staircase_square(args.m, nu, budget=budget)
     doc = {
         "m": args.m,
         "nu": pt.format_partition(nu),
         "found": cert is not None,
     }
     if cert is not None:
-        ok, msg = verify_certificate(cert, ceiling=args.oracle_ceiling)
+        ok, msg = verify_certificate(cert)
         doc["verified"] = ok
         doc["message"] = msg
         doc["certificate"] = cert.to_dict()
@@ -103,9 +98,7 @@ def _cmd_saxl(args):
     return verify_saxl(
         args.m,
         cache_dir=args.cache or os.environ.get(CACHE_ENV),
-        ceiling=args.oracle_ceiling,
         budget_nodes=_nonnegative("budget", args.budget),
-        progress=True,
         threads=_nonnegative("threads", args.threads) or os.cpu_count() or 1,
     )
 
@@ -120,7 +113,7 @@ def _cmd_verify_cert(args):
         cert = Certificate.from_json(text)
     except DECODE_ERRORS as exc:
         raise ValueError("not a certificate: %r" % (exc,)) from None
-    ok, msg = verify_certificate(cert, ceiling=args.oracle_ceiling)
+    ok, msg = verify_certificate(cert)
     return {
         "ok": ok,
         "message": msg,
@@ -154,12 +147,7 @@ def _cmd_decompose(args):
 def _cmd_sample(args):
     from . import samplers as sp
 
-    shape = {
-        "plancherel": sp.PLANCHEREL_RUSSIAN,
-        "uniform": sp.UNIFORM_RUSSIAN,
-    }[args.measure]
-    rep = sp.sample_report(args.measure, args.n, args.samples, args.seed, shape=shape)
-    return vars(rep)
+    return vars(sp.sample_report(args.measure, args.n, args.samples, args.seed))
 
 
 def _cmd_experiment(args):
@@ -208,7 +196,7 @@ def _cmd_distance(args):
 
 
 def _cmd_exceptions(args):
-    scan = ch.saxl_exception_scan(args.n, ceiling=args.oracle_ceiling)
+    scan = ch.saxl_exception_scan(args.n)
     covering = sorted(lam for lam, missing in scan.items() if not missing)
     return {
         "n": args.n,
@@ -226,19 +214,16 @@ def build_parser():
     p.add_argument("--mu")
     p.add_argument("--nu")
     p.add_argument("--factors", help="semicolon-separated partition list")
-    _add_oracle_ceiling(p)
     p.set_defaults(fn=_cmd_kron)
 
     p = sub.add_parser("support", help="tensor square support of a partition")
     p.add_argument("--lambda", dest="lam", required=True)
-    _add_oracle_ceiling(p)
     p.set_defaults(fn=_cmd_support)
 
     p = sub.add_parser("prove", help="certificate search in a staircase square")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
-    _add_oracle_ceiling(p)
     p.set_defaults(fn=_cmd_prove)
 
     p = sub.add_parser("saxl", help="prove every partition of m(m+1)/2")
@@ -246,12 +231,10 @@ def build_parser():
     p.add_argument("--cache")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--threads", type=int, default=0)
-    _add_oracle_ceiling(p)
     p.set_defaults(fn=_cmd_saxl)
 
     p = sub.add_parser("verify-cert", help="check a certificate file")
     p.add_argument("--file", required=True, help="path or - for stdin")
-    _add_oracle_ceiling(p)
     p.set_defaults(fn=_cmd_verify_cert)
 
     p = sub.add_parser("decompose", help="staircase identities")
@@ -289,7 +272,6 @@ def build_parser():
 
     p = sub.add_parser("exceptions", help="tensor square coverage scan")
     p.add_argument("--n", type=int, required=True)
-    _add_oracle_ceiling(p)
     p.set_defaults(fn=_cmd_exceptions)
 
     return ap

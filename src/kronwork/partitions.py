@@ -220,23 +220,20 @@ def has_distinct_rows(lam):
 
 
 @lru_cache(maxsize=64)
-def partitions_of(n, max_part=None):
-    """All partitions of n with parts <= max_part, in reverse lex order,
+def partitions_of(n):
+    """All partitions of n, none for a negative n, in reverse lex order,
     which is strictly decreasing order as tuples.
 
     Each partition is made from the one before it, so only whole results
-    are cached: a recursion over (n, max_part) kept all its sub-results,
-    38 MB after partitions_of(45).
+    are cached: a recursion over (n, largest part) kept all its
+    sub-results, 38 MB after partitions_of(45).
     """
-    if max_part is None or max_part > n:
-        max_part = n
     if n == 0:
         return ((),)
-    if max_part < 1:
+    if n < 0:
         return ()
-    q, r = divmod(n, max_part)
-    rows = [max_part] * q + ([r] if r else [])
-    out = [tuple(rows)]
+    rows = [n]
+    out = [(n,)]
     while rows[0] > 1:
         # take the trailing ones and one box of the last longer row, whose
         # length x drops by one, and refill with rows of x

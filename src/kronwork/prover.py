@@ -8,7 +8,6 @@ from functools import lru_cache, partial
 from itertools import accumulate, groupby, repeat, zip_longest
 
 from . import partitions as pt
-from . import characters as ch
 from .certificates import (
     DECODE_ERRORS,
     Certificate,
@@ -22,6 +21,7 @@ from .certificates import (
     conjugate_cert,
     fold_certs,
 )
+from .characters import DEFAULT_ORACLE_CEILING
 from .verify import verify_certificate
 
 DEFAULT_NODE_BUDGET = 100000
@@ -48,13 +48,13 @@ class Budget:
         return self.nodes < 0
 
 
-def _oracle_leaf(goal, ceiling):
+def _oracle_leaf(goal):
     """Oracle leaf for a goal given as a tuple of tuples, or None.  Goals
-    above the ceiling are turned away before the cache, so they cannot
-    crowd out the leaves it holds."""
-    if pt.size(goal[0]) > ceiling:
+    above the oracle ceiling are turned away before the cache, so they
+    cannot crowd out the leaves it holds."""
+    if pt.size(goal[0]) > DEFAULT_ORACLE_CEILING:
         return None
-    return _cached_oracle(goal, ceiling)
+    return _cached_oracle(goal)
 
 
 _cached_oracle = lru_cache(maxsize=_CACHE_SIZE)(base_oracle)
@@ -65,7 +65,7 @@ def _staircase_leaf(m, nu):
     return base_dominance(m, nu) or base_hook(m, nu)
 
 
-def prove_in_staircase_square(m, nu, budget=None, ceiling=ch.DEFAULT_ORACLE_CEILING):
+def prove_in_staircase_square(m, nu, budget=None):
     """Find a certificate for (nu; rho_m, rho_m), or None.
 
     Search order: the dominance and hook leaves; the 2x2 grid split with
@@ -73,8 +73,9 @@ def prove_in_staircase_square(m, nu, budget=None, ceiling=ch.DEFAULT_ORACLE_CEIL
     the columns of nu, with backtracking, into the pieces of each split of
     `_split_recipes`, proving stubborn pieces recursively; a conjugate
     retry, which runs this whole search on the conjugate of nu; the
-    oracle, when the size is at most the ceiling; and the chunk search,
-    which peels oracle-sized pieces off all three coordinates.
+    oracle, when the size is at most `DEFAULT_ORACLE_CEILING`; and the
+    chunk search, which peels oracle-sized pieces off all three
+    coordinates.
 
     `budget` bounds the pack search only.  The leaves and the two dealt
     grids are checks on a fixed assignment and cost no nodes, and the
@@ -87,7 +88,7 @@ def prove_in_staircase_square(m, nu, budget=None, ceiling=ch.DEFAULT_ORACLE_CEIL
         raise ValueError("nu must have size m(m+1)/2")
     if budget is None:
         budget = Budget()
-    cert = _prove(m, nu, budget, ceiling, depth=2, allow_flip=True)
+    cert = _prove(m, nu, budget, depth=2, allow_flip=True)
     if cert is not None:
         rho = pt.staircase(m)
         if cert.goal != (nu, rho, rho):
@@ -95,7 +96,7 @@ def prove_in_staircase_square(m, nu, budget=None, ceiling=ch.DEFAULT_ORACLE_CEIL
     return cert
 
 
-def _prove(m, nu, budget, ceiling, depth, allow_flip):
+def _prove(m, nu, budget, depth, allow_flip):
     cert = _staircase_leaf(m, nu)
     if cert is not None:
         return cert
@@ -105,22 +106,22 @@ def _prove(m, nu, budget, ceiling, depth, allow_flip):
         if cert is not None:
             return cert
     for layout in _pack_layouts(m):
-        cert = _pack_search(m, nu, cols, layout, budget, ceiling, depth)
+        cert = _pack_search(m, nu, cols, layout, budget, depth)
         if cert is not None:
             return cert
         if budget.exhausted:
             break
     if allow_flip:
-        flipped = _prove(m, cols, budget, ceiling, depth, False)
+        flipped = _prove(m, cols, budget, depth, False)
         if flipped is not None:
             return conjugate_cert(flipped, (0, 1))
     rho = pt.staircase(m)
     goal = (nu, rho, rho)
-    cert = _oracle_leaf(goal, ceiling)
+    cert = _oracle_leaf(goal)
     if cert is not None:
         return cert
     if depth >= 2:
-        return _chunk_search(goal, Budget(60000), ceiling)
+        return _chunk_search(goal, Budget(60000))
     return None
 
 
@@ -253,7 +254,7 @@ def _pack_layouts(m):
     return tuple(layouts)
 
 
-def _pack_search(m, nu, cols, layout, budget, ceiling, depth):
+def _pack_search(m, nu, cols, layout, budget, depth):
     """Pack the columns `cols` of nu into the pieces of one layout of
     `_pack_layouts(m)`."""
     recipe, flat, caps = layout
@@ -279,7 +280,7 @@ def _pack_search(m, nu, cols, layout, budget, ceiling, depth):
                 stash.append([list(b) for b in bins])
             return None
         for b in hard:
-            sub = _prove(flat[b], lams[b], budget, ceiling, depth - 1, True)
+            sub = _prove(flat[b], lams[b], budget, depth - 1, True)
             if sub is None:
                 return None
             certs[b] = sub
@@ -418,7 +419,7 @@ def _complement(p, piece, vertical):
 _VERTICAL_PATTERNS = ((), (0, 1), (0, 2), (1, 2))
 
 
-def _chunk_search(goal, budget, ceiling):
+def _chunk_search(goal, budget):
     """Peel oracle-sized pieces off all three coordinates, biggest first.
 
     The walk takes, for each pattern of vertical coordinates and each
@@ -437,14 +438,14 @@ def _chunk_search(goal, budget, ceiling):
 
     def rec(goal):
         n = pt.size(goal[0])
-        if n <= ceiling:
-            return _oracle_leaf(goal, ceiling)
+        if n <= DEFAULT_ORACLE_CEILING:
+            return _oracle_leaf(goal)
         if goal in memo:
             return None
         for vertical in _VERTICAL_PATTERNS:
             v0, v1, v2 = (c in vertical for c in range(3))
-            for t in range(min(ceiling, n - 1), 0, -1):
-                leaf_sized = n - t <= ceiling
+            for t in range(min(DEFAULT_ORACLE_CEILING, n - 1), 0, -1):
+                leaf_sized = n - t <= DEFAULT_ORACLE_CEILING
                 for p0, c0 in _coord_splits(goal[0], t, v0):
                     # one-row and one-column pieces pair up by the trivial
                     # and sign characters, skip the oracle
@@ -462,10 +463,10 @@ def _chunk_search(goal, budget, ceiling):
                             # ceiling, so the oracle cache takes them as is
                             rest = (c0, c1, c2)
                             if leaf_sized:
-                                tail = _cached_oracle(rest, ceiling)
+                                tail = _cached_oracle(rest)
                                 if tail is None:
                                     continue
-                            leaf = _cached_oracle((p0, p1, p2), ceiling)
+                            leaf = _cached_oracle((p0, p1, p2))
                             if leaf is None:
                                 continue
                             if not leaf_sized:
@@ -516,7 +517,7 @@ def _find(targets, nu, start):
     return lo if lo < len(targets) and targets[lo] == nu else None
 
 
-def _read_log(path, targets, rho, ceiling, proved, rejected, table):
+def _read_log(path, targets, rho, proved, rejected, table):
     """Set proved[i] for each target targets[i] that a line of the log at
     path proves, and count the rejected lines by reason in `rejected`.
     Returns the number of targets proved, of the distinct sub-certificates
@@ -553,8 +554,7 @@ def _read_log(path, targets, rho, ceiling, proved, rejected, table):
                     continue
                 else:
                     nxt = i + 1
-                    ok, msg = verify_certificate(cert, ceiling=ceiling, memo=memo,
-                                                 shapes=shapes)
+                    ok, msg = verify_certificate(cert, memo=memo, shapes=shapes)
                     if ok:
                         proved[i] = True
                         hits += 1
@@ -572,7 +572,7 @@ def _has_legacy_files(cache_dir, m):
         return any(e.name.startswith(prefix) for e in entries)
 
 
-def _read_cached(path, goal, ceiling):
+def _read_cached(path, goal):
     """The certificate cached at path, or None unless it verifies and proves
     exactly goal.
 
@@ -591,23 +591,21 @@ def _read_cached(path, goal, ceiling):
         print("saxl: re-proving %s: it proves %r" % (path, cert.goal),
               file=sys.stderr)
         return None
-    ok, msg = verify_certificate(cert, ceiling=ceiling)
+    ok, msg = verify_certificate(cert)
     if not ok:
         print("saxl: re-proving %s: invalid (%s)" % (path, msg), file=sys.stderr)
         return None
     return cert
 
 
-def _prove_into(m, nu, ceiling, budget_nodes):
+def _prove_into(m, nu, budget_nodes):
     """Prove nu inside the square of rho_m and verify the certificate.
     Returns it, or None when no certificate was found; it proves exactly
     (nu; rho_m, rho_m), or the prover raises."""
-    cert = prove_in_staircase_square(
-        m, nu, budget=Budget(budget_nodes), ceiling=ceiling
-    )
+    cert = prove_in_staircase_square(m, nu, budget=Budget(budget_nodes))
     if cert is None:
         return None
-    ok, msg = verify_certificate(cert, ceiling=ceiling)
+    ok, msg = verify_certificate(cert)
     if not ok:
         raise AssertionError("bad certificate for %s: %s" % (nu, msg))
     return cert
@@ -621,8 +619,7 @@ def _open_log(path):
     return fd, b"\n" if end and os.pread(fd, 1, end - 1) != b"\n" else b""
 
 
-def verify_saxl(m, cache_dir=None, ceiling=ch.DEFAULT_ORACLE_CEILING,
-                budget_nodes=DEFAULT_NODE_BUDGET, progress=False, threads=1):
+def verify_saxl(m, cache_dir=None, budget_nodes=DEFAULT_NODE_BUDGET, threads=1):
     """Prove every partition of m(m+1)/2 inside the staircase square.
 
     Returns a report dict.  A cache directory holds the log of m
@@ -635,8 +632,9 @@ def verify_saxl(m, cache_dir=None, ceiling=ch.DEFAULT_ORACLE_CEILING,
     order: this process counts them and, with a cache, encodes each
     certificate against the log's table and appends it in one write of a
     whole line, so neither the report nor the log depends on the thread
-    count, and a killed run loses at most the line being written.  A last
-    stderr line sums up where the proofs came from.
+    count, and a killed run loses at most the line being written.  Stderr
+    notes the progress every 1000 targets it proves here and, with a cache,
+    ends with a line that sums up where the proofs came from.
     """
     n = pt.triangular(m)
     rho = pt.staircase(m)
@@ -647,18 +645,17 @@ def verify_saxl(m, cache_dir=None, ceiling=ch.DEFAULT_ORACLE_CEILING,
         os.makedirs(cache_dir, exist_ok=True)
         path = log_path(cache_dir, m)
         table = Table()
-        from_log, shared, lines = _read_log(path, targets, rho, ceiling, proved,
-                                            rejected, table)
+        from_log, shared, lines = _read_log(path, targets, rho, proved, rejected, table)
         from_files = 0
         # a directory with no legacy file, like a cold one, skips the lookups
         if not all(proved) and _has_legacy_files(cache_dir, m):
             for i, nu in enumerate(targets):
                 if not proved[i] and _read_cached(
-                        cache_path(cache_dir, m, nu), (nu, rho, rho), ceiling) is not None:
+                        cache_path(cache_dir, m, nu), (nu, rho, rho)) is not None:
                     proved[i] = True
                     from_files += 1
     todo = [i for i, ok in enumerate(proved) if not ok]
-    jobs = (repeat(m), [targets[i] for i in todo], repeat(ceiling), repeat(budget_nodes))
+    jobs = (repeat(m), [targets[i] for i in todo], repeat(budget_nodes))
     workers = min(threads, -(-len(todo) // _CHUNK))
     fresh = 0
     with ExitStack() as stack:
@@ -684,7 +681,7 @@ def verify_saxl(m, cache_dir=None, ceiling=ch.DEFAULT_ORACLE_CEILING,
                     if os.write(fd, line) != len(line):
                         raise OSError("short write to %s" % path)
                     lead = b""
-            if progress and done % 1000 == 0:
+            if done % 1000 == 0:
                 print("saxl m=%d: %d/%d" % (m, done, len(todo)), file=sys.stderr)
     if cache_dir is not None:
         print("saxl m=%d cache: %d targets proved from the log, %d from legacy files, "

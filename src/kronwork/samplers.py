@@ -117,14 +117,6 @@ def UNIFORM_RUSSIAN(x):
     return a + math.log1p(math.exp(-2 * _B * a)) / _B
 
 
-def UNIFORM_FRENCH(x):
-    """The uniform limit curve in French coordinates; raises for x <= 0."""
-    t = math.exp(-math.pi * x / math.sqrt(6))
-    if x <= 0 or t >= 1:
-        raise ValueError("french curve needs x > 0")
-    return -math.sqrt(6) / math.pi * math.log(1 - t)
-
-
 def russian_profile(lam, u):
     """Rotated boundary profile of lam at integer or real u, unscaled."""
     return u + 2 * descent_tail_count(lam, u)
@@ -136,13 +128,6 @@ def rescaled_sup_distance(lam, shape):
     if n < 1:
         raise ValueError("need a nonempty partition")
     s = 1 / math.sqrt(n)
-    if shape is UNIFORM_FRENCH:
-        cols = pt.conjugate(lam)
-        best = 0.0
-        for j in range(1, lam[0] + 1):
-            y = cols[j - 1] if j <= len(cols) else 0
-            best = max(best, abs(y * s - shape(j * s)))
-        return best
     lo = -len(lam) - 1
     hi = lam[0] + 1
     best = 0.0
@@ -183,8 +168,9 @@ def singleton_columns(lam):
     return lam[0] - (lam[1] if len(lam) > 1 else 0)
 
 
-def wilson_interval(hits, trials, z=1.96):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(hits, trials):
+    """95% Wilson score interval for a binomial proportion."""
+    z = 1.96
     if trials == 0:
         return (0.0, 1.0)
     p = hits / trials
@@ -222,10 +208,12 @@ def draw(measure, n, seed, index):
     raise ValueError("unknown measure %r" % measure)
 
 
-def sample_report(measure, n, samples, seed, shape=None):
+def sample_report(measure, n, samples, seed):
     """Draw a batch and summarize it: frequency table at small n,
-    rescaled row/column lengths, and distance to a limit curve."""
+    rescaled row/column lengths, and distance to the measure's limit
+    curve."""
     check_samples(samples)
+    shape = PLANCHEREL_RUSSIAN if measure == "plancherel" else UNIFORM_RUSSIAN
     freq = {}
     lengths = []
     heights = []
@@ -239,7 +227,7 @@ def sample_report(measure, n, samples, seed, shape=None):
         lengths.append((lam[0] if lam else 0) / root)
         heights.append((len(lam)) / root)
         singles.append(singleton_columns(lam))
-        if shape is not None and n >= 1:
+        if n >= 1:
             dists.append(rescaled_sup_distance(lam, shape))
     stats = {
         "mean_length": sum(lengths) / max(1, samples),

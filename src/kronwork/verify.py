@@ -79,8 +79,7 @@ class VerificationFailure(Exception):
     pass
 
 
-def verify_certificate(cert, ceiling=characters.DEFAULT_ORACLE_CEILING, memo=None,
-                       shapes=None):
+def verify_certificate(cert, memo=None, shapes=None):
     """Walk the tree and re-check every rule.  Returns (ok, message).
 
     A memo, a dict that the caller keeps across calls, records every
@@ -89,11 +88,10 @@ def verify_certificate(cert, ceiling=characters.DEFAULT_ORACLE_CEILING, memo=Non
     there is not checked again, but its height still counts against the
     depth bound.  This is sound because a node that passed stays sound: its
     rules read only its own fields and its children, which are frozen and
-    passed too, and the verdict of an oracle leaf depends on the ceiling
-    alone, so one memo serves one ceiling.  The node must not be mutated
-    after it passes.  It pays off over certificates whose equal subtrees are
-    one object, as `Certificate.from_json` decodes them with a table.
-    Roots are not kept, so the memo holds only the shared pieces.
+    passed too.  The node must not be mutated after it passes.  It pays off
+    over certificates whose equal subtrees are one object, as
+    `Certificate.from_json` decodes the lines of a log with a table.  Roots
+    are not kept, so the memo holds only the shared pieces.
 
     shapes, another dict the caller may keep across calls, maps the id of
     every factor (an entry of a goal past the target) that passed the
@@ -116,7 +114,7 @@ def verify_certificate(cert, ceiling=characters.DEFAULT_ORACLE_CEILING, memo=Non
     seen = {} if memo is None else memo
     new = id(cert) not in seen
     try:
-        _verify(cert, ceiling, 0, seen, {} if shapes is None else shapes)
+        _verify(cert, 0, seen, {} if shapes is None else shapes)
     except VerificationFailure as e:
         return False, str(e)
     if new:
@@ -142,7 +140,7 @@ def _staircase(cert, n):
     return _stair(m)
 
 
-def _verify(cert, ceiling, depth, seen, shapes):
+def _verify(cert, depth, seen, shapes):
     """Check cert at the given depth and return the height of its subtree.
 
     seen maps the id of every node that has passed, in this walk or in the
@@ -225,9 +223,9 @@ def _verify(cert, ceiling, depth, seen, shapes):
         else:
             _fail(cert, "unsupported arity")
     elif kind == "OracleLeaf":
-        if ceiling is not None and n > ceiling:
+        if n > characters.DEFAULT_ORACLE_CEILING:
             _fail(cert, "oracle leaf above the ceiling (n=%d)" % n)
-        coeff = characters.multi_kronecker(goal, ceiling=ceiling)
+        coeff = characters.multi_kronecker(goal)
         if coeff <= 0:
             _fail(cert, "oracle reports zero coefficient")
         claimed = cert.meta.get("coefficient")
@@ -235,15 +233,15 @@ def _verify(cert, ceiling, depth, seen, shapes):
             _fail(cert, "claimed coefficient %s != %d" % (claimed, coeff))
     elif kind == "HSum":
         a, b = _two_children(cert)
-        height = 1 + max(_verify(a, ceiling, depth + 1, seen, shapes),
-                         _verify(b, ceiling, depth + 1, seen, shapes))
+        height = 1 + max(_verify(a, depth + 1, seen, shapes),
+                         _verify(b, depth + 1, seen, shapes))
         want = tuple(map(_row_sum, a.goal, b.goal))
         if tuple(goal) != want:
             _fail(cert, "goal is not the rowwise sum of the children")
     elif kind == "VVHSum":
         a, b = _two_children(cert)
-        height = 1 + max(_verify(a, ceiling, depth + 1, seen, shapes),
-                         _verify(b, ceiling, depth + 1, seen, shapes))
+        height = 1 + max(_verify(a, depth + 1, seen, shapes),
+                         _verify(b, depth + 1, seen, shapes))
         vertical = _coord_set(cert, "vertical")
         want = tuple(
             _multiset_sum(x, y) if i in vertical else _row_sum(x, y)
@@ -253,7 +251,7 @@ def _verify(cert, ceiling, depth, seen, shapes):
             _fail(cert, "goal does not match the recorded sums")
     elif kind == "Conjugate":
         (a,) = _one_child(cert)
-        height = 1 + _verify(a, ceiling, depth + 1, seen, shapes)
+        height = 1 + _verify(a, depth + 1, seen, shapes)
         coords = _coord_set(cert, "coords")
         # the conjugate of p has p[0] rows: compared before it is built
         if any(len(goal[i]) != max(a.goal[i], default=0) for i in coords):

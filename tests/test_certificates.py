@@ -55,6 +55,19 @@ def test_oracle_leaf_respects_ceiling():
         ct.base_oracle(((15,), (15,), (15,)))
 
 
+def test_verifier_rejects_an_oracle_leaf_above_the_ceiling():
+    big = (15,)
+    leaf = ct.Certificate("OracleLeaf", (big, big, big), meta={"coefficient": "1"})
+    want = (False, "OracleLeaf node with goal ((15,), (15,), (15,)): "
+                   "oracle leaf above the ceiling (n=15)")
+    assert verify_certificate(leaf) == want
+    memo = {}
+    good = ct.combine_h(ct.base_oracle(((2, 1),) * 3), ct.base_oracle(((3,),) * 3))
+    assert verify_certificate(good, memo=memo) == (True, "ok") and memo
+    assert verify_certificate(ct.conjugate_cert(leaf, (1, 2)), memo=memo) == want
+    assert verify_certificate(leaf, memo=memo) == want
+
+
 def test_combine_h_goal():
     a = ct.base_oracle(((2, 1), (2, 1), (2, 1)))
     b = ct.base_oracle(((3,), (3,), (3,)))
@@ -519,10 +532,10 @@ def test_verifier_fails_closed_on_malformed_python_certificates(cert):
 
 
 def test_decoding_with_a_table_shares_equal_subtrees_only():
-    # equal subtrees below the root decode to one object, also when their
-    # goal strings differ only by trailing zero rows; a node that differs in
-    # any field, even by 1.0 or true for 1 or by the order of its meta keys,
-    # is another object; roots are never kept
+    # over the lines of one log, equal subtrees below the root decode to one
+    # object, also when their goal strings differ only by trailing zero
+    # rows; a node that differs in any field, even by 1.0 or true for 1 or
+    # by the order of its meta keys, is another object; roots are never kept
     leaf = {"kind": "DominanceStaircase", "goal": ["1", "1", "1"], "children": [],
             "meta": {"m": 1}}
 
@@ -531,29 +544,33 @@ def test_decoding_with_a_table_shares_equal_subtrees_only():
                            "meta": {"coords": []}})
 
     table = ct.Table()
-    a = ct.Certificate.from_json(wrap(leaf), table)
-    b = ct.Certificate.from_json(wrap(leaf), table)
+
+    def read(text):
+        # text as the next line of the table's log
+        return ct.Certificate.from_json(text, table, len(table.ends))
+
+    a = read(wrap(leaf))
+    b = read(wrap(leaf))
     assert a is not b and a.children[0] is b.children[0]
-    assert ct.Certificate.from_json(wrap(dict(leaf, goal=["1", "1", "1,0"])),
-                                    table).children[0] is a.children[0]
+    assert read(wrap(dict(leaf, goal=["1", "1", "1,0"]))).children[0] is a.children[0]
     assert len(table.nodes) == 1
     variants = [dict(leaf, meta={"m": m}) for m in (1.0, True, "1")]
     variants += [dict(leaf, meta={"m": 1, "x": 0}), dict(leaf, meta={"x": 0, "m": 1}),
                  dict(leaf, kind="Hook"), dict(leaf, goal=["1", "1", "1,1"])]
     for other in variants:
-        c = ct.Certificate.from_json(wrap(other), table)
+        c = read(wrap(other))
         assert c.children[0] is not a.children[0]
         assert c.to_json() == ct.Certificate.from_json(wrap(other)).to_json()
-        assert ct.Certificate.from_json(wrap(other), table).children[0] is c.children[0]
+        assert read(wrap(other)).children[0] is c.children[0]
     assert len(table.nodes) == 1 + len(variants)
     # input the key cannot hash decodes unshared, and bad input fails as it
-    # did before nodes were shared: a bad goal before any error below it
+    # does outside a log: a bad goal before any error below it
     for doc, error in ((dict(leaf, goal=[["1"], "1", "1"]), AttributeError),
                        (dict(leaf, goal=["1", "x", "1"], children=[{"goal": []}]), ValueError),
                        (dict(leaf, children=[dict(leaf, meta=[["m", 1]])], meta=5), TypeError)):
-        for tab in (None, table):
+        for decode in (ct.Certificate.from_json, read):
             with pytest.raises(error):
-                ct.Certificate.from_json(wrap(doc), tab)
+                decode(wrap(doc))
     # of these only the leaf whose meta is given as pairs decodes, and is kept
     assert len(table.nodes) == 1 + len(variants) + 1
 

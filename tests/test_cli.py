@@ -113,6 +113,18 @@ def test_verify_cert_arity_mismatch_reports_not_ok(tmp_path, capsys):
     assert doc["ok"] is False
 
 
+def test_verify_cert_rejects_an_oracle_leaf_above_the_ceiling(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({
+        "kind": "OracleLeaf", "goal": ["15", "15", "15"],
+        "children": [], "meta": {"coefficient": "1"},
+    }))
+    code, doc = run(capsys, "verify-cert", "--file", str(path))
+    assert code == 0 and doc["ok"] is False
+    assert doc["message"] == ("OracleLeaf node with goal ((15,), (15,), (15,)): "
+                              "oracle leaf above the ceiling (n=15)")
+
+
 def test_saxl_small(tmp_path, capsys):
     code, doc = run(capsys, "saxl", "--m", "3", "--cache", str(tmp_path))
     assert code == 0
@@ -191,12 +203,31 @@ def test_sample_deterministic(capsys):
     assert doc == doc2
 
 
-def test_oracle_ceiling_only_where_the_oracle_runs(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.dispatch(["sample", "--measure", "uniform", "--n", "5", "--oracle-ceiling", "3"])
-    assert exc.value.code == 2
-    code, doc = run(capsys, "kron", "--factors", "2,1;2,1;2,1", "--oracle-ceiling", "3")
-    assert code == 0 and doc["coefficient"] == "1"
+def test_no_command_takes_an_oracle_ceiling(capsys):
+    # the ceiling is the constant DEFAULT_ORACLE_CEILING, not a setting
+    for argv in (["kron", "--factors", "2,1;2,1;2,1"],
+                 ["support", "--lambda", "2,1"],
+                 ["prove", "--m", "2", "--nu", "2,1"],
+                 ["saxl", "--m", "2", "--threads", "1"],
+                 ["verify-cert", "--file", "-"],
+                 ["decompose", "--m", "4", "--k", "2"],
+                 ["sample", "--measure", "uniform", "--n", "5"],
+                 ["experiment", "--kind", "flexibility", "--n", "5"],
+                 ["distance", "--lambda", "2,1", "--mu", "3"],
+                 ["exceptions", "--n", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.dispatch(argv + ["--oracle-ceiling", "3"])
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --oracle-ceiling 3" in captured.err, argv
+
+
+def test_kron_above_the_oracle_ceiling_fails_closed(capsys):
+    assert cli.dispatch(["kron", "--factors", "15;15;15"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: oracle ceiling 14 exceeded by n=15\n"
 
 
 def test_experiment_flexibility(capsys):

@@ -123,17 +123,15 @@ def test_partition_count_matches_enumeration():
         assert pt.partition_count(n) == len(pt.partitions_of(n))
 
 
-def test_partitions_of_is_strictly_decreasing_and_bounded():
+def test_partitions_of_is_strictly_decreasing_and_complete():
     # reverse lex order is strictly decreasing tuple order, which the saxl
-    # log reader bisects; max_part bounds the first row
+    # log reader bisects
     for n in range(16):
-        for k in (None, 0, 1, 2, n // 2, n, n + 1):
-            parts = pt.partitions_of(n, k)
-            assert list(parts) == sorted(set(parts), reverse=True), (n, k)
-            bound = n if k is None else k
-            assert all(pt.size(p) == n and max(p, default=0) <= bound for p in parts)
-            want = [p for p in pt.partitions_of(n) if max(p, default=0) <= bound]
-            assert list(parts) == want, (n, k)
+        parts = pt.partitions_of(n)
+        assert list(parts) == sorted(set(parts), reverse=True), n
+        assert all(pt.check_partition(p) == p and pt.size(p) == n for p in parts)
+        assert len(parts) == pt.partition_count(n)
+    assert pt.partitions_of(-1) == ()
 
 
 def test_move_neighbors_small():

@@ -308,22 +308,33 @@ def _goals(nus, m):
     return [(nu, rho, rho) for nu in nus]
 
 
+def _fail_to_prove(monkeypatch, fail):
+    """Make the saxl driver find no certificate for the targets in fail."""
+    prove_into = prover._prove_into
+    monkeypatch.setattr(prover, "_prove_into", lambda m, nu, budget_nodes: None
+                        if nu in fail else prove_into(m, nu, budget_nodes))
+
+
 def test_verify_saxl_runs_the_pool_without_a_cache(monkeypatch):
-    # with neither search nor oracle some m=4 targets fail, so the report
-    # also shows that the pool's results are counted in target order
+    # some m=4 targets fail, so the report also shows that the pool's
+    # results are counted in target order; the pool is one of threads, so
+    # that it runs the patched prover (the spawn pool is covered in
+    # test_cli.py)
     pools = []
 
-    class Spy(futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(args)
-            super().__init__(*args, **kwargs)
+    class Spy(futures.ThreadPoolExecutor):
+        def __init__(self, workers, mp_context=None):
+            pools.append((workers,))
+            super().__init__(workers)
 
     monkeypatch.setattr(futures, "ProcessPoolExecutor", Spy)
-    weak = dict(ceiling=0, budget_nodes=0)
-    serial = verify_saxl(4, **weak)
-    assert not serial["complete"] and serial["proved"] > 0
+    targets = pt.partitions_of(10)
+    fail = set(targets[1::3])
+    _fail_to_prove(monkeypatch, fail)
+    serial = verify_saxl(4)
+    assert serial["failed"] == [pt.format_partition(nu) for nu in targets if nu in fail]
     assert pools == []
-    assert verify_saxl(4, threads=2, **weak) == serial
+    assert verify_saxl(4, threads=2) == serial
     assert pools == [(2,)]
 
 
@@ -374,16 +385,18 @@ def test_verify_saxl_reproves_foreign_cache_entries(tmp_path):
             assert _rerun(cache, 4) == []
 
 
-def test_verify_saxl_counts_only_matching_goals(tmp_path):
-    # with neither search nor oracle some m=4 targets have no proof; a cache
-    # whose every entry proves the staircase itself must not hide that
-    weak = dict(ceiling=0, budget_nodes=0)
-    assert not verify_saxl(4, **weak)["complete"]
+def test_verify_saxl_counts_only_matching_goals(tmp_path, monkeypatch):
+    # some m=4 targets have no proof; a cache whose every entry proves the
+    # staircase itself must not hide that
     texts = _cert_texts(4)
-    stair = texts[pt.staircase(4)]
+    stair = pt.staircase(4)
+    fail = {nu for nu in list(texts)[1::3] if nu != stair}
+    _fail_to_prove(monkeypatch, fail)
+    assert not verify_saxl(4)["complete"]
     for layout in LAYOUTS:
-        cache = _make_cache(tmp_path / layout, 4, layout, dict.fromkeys(texts, stair))
-        _rerun(cache, 4, **weak)
+        cache = _make_cache(tmp_path / layout, 4, layout, dict.fromkeys(texts, texts[stair]))
+        assert _rerun(cache, 4) == _goals([nu for nu in texts
+                                           if nu not in fail and nu != stair], 4), layout
 
 
 def test_verify_saxl_reproves_truncated_cache_entries(tmp_path):
@@ -684,13 +697,14 @@ def _walk_pairs(goal, s, vflags, p0, c0, budget, rests):
             yield (p0, p1, p2), (c0, c1, c2)
 
 
-def _chunk_search_piece_first(goal, budget, ceiling, rests):
+def _chunk_search_piece_first(goal, budget, rests):
+    ceiling = ch.DEFAULT_ORACLE_CEILING
     memo = set()
 
     def rec(goal):
         n = pt.size(goal[0])
         if n <= ceiling:
-            return prover._oracle_leaf(goal, ceiling)
+            return prover._oracle_leaf(goal)
         if goal in memo:
             return None
         for vertical in prover._VERTICAL_PATTERNS:
@@ -705,7 +719,7 @@ def _chunk_search_piece_first(goal, budget, ceiling, rests):
                         elif t > 1 and p0 == (1,) * t:
                             if p2 != pt.conjugate(p1):
                                 continue
-                        leaf = prover._oracle_leaf(piece, ceiling)
+                        leaf = prover._oracle_leaf(piece)
                         if leaf is None:
                             continue
                         tail = rec(rest)
@@ -738,9 +752,9 @@ def test_chunk_search_matches_the_piece_first_order(monkeypatch):
     goals = []
     search = prover._chunk_search
 
-    def record(goal, budget, ceiling):
+    def record(goal, budget):
         goals.append(goal)
-        return search(goal, budget, ceiling)
+        return search(goal, budget)
 
     monkeypatch.setattr(prover, "_chunk_search", record)
     for m in range(1, 7):
@@ -753,10 +767,10 @@ def test_chunk_search_matches_the_piece_first_order(monkeypatch):
     pairs = []
     oracle = prover._cached_oracle
 
-    def lookup(goal, ceiling):
+    def lookup(goal):
         if pairs:
             pairs[-1].append(goal)
-        return oracle(goal, ceiling)
+        return oracle(goal)
 
     monkeypatch.setattr(prover, "_cached_oracle", lookup)
 
@@ -768,21 +782,20 @@ def test_chunk_search_matches_the_piece_first_order(monkeypatch):
         assert len(pairs) == len(rests)
         extra = zeros = 0
         for rest, looked in zip(rests, pairs):
-            if pt.size(rest[0]) <= ceiling and oracle(rest, ceiling) is None:
+            if pt.size(rest[0]) <= ch.DEFAULT_ORACLE_CEILING and oracle(rest) is None:
                 zeros += 1
                 extra += looked not in ([], [rest])
         pairs.clear()
         return extra, zeros
 
-    ceiling = ch.DEFAULT_ORACLE_CEILING
     skipped = wasted = 0
     for goal in goals:
         rests = []
         ref_budget = _NodeRecorder(60000, pairs)
-        ref = _chunk_search_piece_first(goal, ref_budget, ceiling, rests)
+        ref = _chunk_search_piece_first(goal, ref_budget, rests)
         wasted += zero_rest_pieces(rests)[0]
         budget = _NodeRecorder(60000, pairs)
-        cert = prover._chunk_search(goal, budget, ceiling)
+        cert = prover._chunk_search(goal, budget)
         extra, zeros = zero_rest_pieces(rests)
         assert extra == 0, goal
         skipped += zeros

@@ -60,11 +60,6 @@ def test_limit_shape_values():
     assert sp.UNIFORM_RUSSIAN(0) == pytest.approx(math.log(2) / sp._B)
     assert sp.UNIFORM_RUSSIAN(50) == pytest.approx(50, abs=1e-9)
     assert sp.UNIFORM_RUSSIAN(-1) == sp.UNIFORM_RUSSIAN(1)
-    y = sp.UNIFORM_FRENCH(1.0)
-    # french curve is its own inverse
-    assert sp.UNIFORM_FRENCH(y) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        sp.UNIFORM_FRENCH(-1.0)
 
 
 def test_russian_profile_matches_shape():
@@ -132,12 +127,18 @@ def test_wilson_interval():
 
 
 def test_sample_report_fields():
-    rep = sp.sample_report("plancherel", 9, 50, 13, shape=sp.PLANCHEREL_RUSSIAN)
+    rep = sp.sample_report("plancherel", 9, 50, 13)
     assert rep.measure == "plancherel"
     assert rep.n == 9 and rep.samples == 50 and rep.seed == 13
     assert sum(rep.stats["frequencies"].values()) == 50
     assert len(rep.stats["sup_distances"]) == 50
     assert rep.stats["median_distance"] >= 0
+    # each measure's draws are measured against its own limit curve
+    for measure, shape in (("plancherel", sp.PLANCHEREL_RUSSIAN),
+                           ("uniform", sp.UNIFORM_RUSSIAN)):
+        rep = sp.sample_report(measure, 20, 5, 13)
+        assert rep.stats["sup_distances"] == [
+            sp.rescaled_sup_distance(sp.draw(measure, 20, 13, i), shape) for i in range(5)]
 
 
 def test_experiment_flexibility_report():

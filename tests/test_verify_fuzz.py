@@ -6,9 +6,9 @@ perturbed goal rows, another kind), and random JSON shaped like a
 certificate, with huge one-row goals among the rows.  For every input that
 decodes, `verify_certificate` must return (bool, str) without raising, and a
 goal it accepts with n <= 8 must be positive according to the oracle.
-Decoding, with or without a table of shared nodes, must agree with a
-reference copy of the plain decoder, and decoding as a line of a log must too
-for every input it accepts.  Sequences of certificates verified over one
+Decoding, also as a line of a log, must agree with a reference copy of the
+plain decoder, except that a list child is a reference to an earlier line
+there, so an error too.  Sequences of certificates verified over one
 table, one memo and one dict of factor shapes, as the saxl log reader
 verifies its lines, must get the verdicts of verifying each certificate
 alone, also once they are written as a log whose lines refer back to each
@@ -148,13 +148,33 @@ def _outcome(decode, doc):
         return type(e), str(e)
 
 
+def _has_list_child(doc):
+    """Whether a node of doc, as the decoder walks it, has a list child."""
+    todo = [doc]
+    while todo:
+        node = todo.pop()
+        children = node.get("children") if type(node) is dict else None
+        if type(children) is list:
+            if any(type(c) is list for c in children):
+                return True
+            todo.extend(children)
+    return False
+
+
+def _next_line(table, text):
+    """text decoded as the next line of the log that table reads."""
+    return Certificate.from_json(text, table, len(table.ends))
+
+
 def check_verifier(doc):
     want = _outcome(_decode_reference, doc)
     assert _outcome(Certificate.from_dict, doc) == want
-    assert _outcome(lambda d: Certificate.from_dict(d, Table()), doc) == want
-    # a line holds no reference to an earlier line; a list child is an error
-    line = _outcome(lambda d: Certificate.from_json(json.dumps(d), Table(), 1), doc)
-    assert line == want or type(line) is type(want) is tuple
+    # the first line of a log, where a list child names no node
+    line = _outcome(lambda d: _next_line(Table(), json.dumps(d)), doc)
+    if _has_list_child(doc):
+        assert type(line) is type(want) is tuple
+    else:
+        assert line == want
     try:
         cert = Certificate.from_dict(doc)
     except DECODE_ERRORS:
@@ -250,7 +270,9 @@ def _changed_copy(data, doc):
 
 def _decode(text, table=None):
     try:
-        return Certificate.from_json(text, table), None
+        if table is None:
+            return Certificate.from_json(text), None
+        return _next_line(table, text), None
     except DECODE_ERRORS as e:
         return None, (type(e), str(e))
 
@@ -303,14 +325,14 @@ def test_memo_does_not_trust_a_new_object_where_a_passed_one_was():
 @FUZZ
 @given(st.data())
 def test_one_memo_and_shapes_give_the_verdicts_of_none_on_the_fuzz_corpus(data):
-    # the mutated and random certificates above, decoded over one table so
-    # that equal goal strings are one factor object across certificates
+    # the mutated and random certificates above, decoded as the lines of one
+    # log so that equal goal strings are one factor object across them
     table, memo, shapes = Table(), {}, {}
     for _ in range(data.draw(st.integers(2, 6))):
         doc = _mutate(data) if data.draw(st.booleans()) else data.draw(RANDOM_CERTS)
         try:
             alone = Certificate.from_dict(doc)
-            shared = Certificate.from_dict(doc, table)
+            shared = _next_line(table, json.dumps(doc))
         except DECODE_ERRORS:
             continue
         assert verify_certificate(shared, memo=memo, shapes=shapes) == verify_certificate(alone)
