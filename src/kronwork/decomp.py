@@ -1,17 +1,18 @@
 """Staircase decompositions, and the pipeline that reaches every
 partition from an irregular staircase square with a short run of block
-moves."""
+moves: one prover call per partition, and at most k moves for
+n = m(m+1)/2 + k."""
 
 import math
 
 from . import partitions as pt
-from .certificates import (
-    base_generalized_dominance,
-    combine_h,
-    conjugate_cert,
-    fold_certs,
-)
+from .certificates import base_generalized_dominance, combine_h
 from .prover import Budget, prove_in_staircase_square
+
+# the budget of the pipeline's one prover call; the prover's default
+# budget would change a corpus certificate (uniform, n = 210, seed
+# 20260826, draw 13)
+_PIPELINE_NODES = 30000
 
 
 class SmoothingError(ValueError):
@@ -114,234 +115,20 @@ def caret_decompose(k):
                               recipe=recipe)
 
 
-class CutTailResult:
-    """Adjustment of a partition onto a horizontal sum of staircases."""
+def fourth_power_pipeline(nu):
+    """Certificate for a partition nu_hat near nu inside the square of the
+    irregular staircase xi, plus the block moves joining them.
 
-    def __init__(self, mu, mu_hat, targets, parts, part_certs, certificate,
-                 trace, structured_moves, exceptional_moves, bound):
-        self.mu = mu
-        self.mu_hat = mu_hat
-        self.targets = targets
-        self.parts = parts
-        self.part_certs = part_certs
-        self.certificate = certificate
-        self.trace = trace
-        self.structured_moves = structured_moves
-        self.exceptional_moves = exceptional_moves
-        self.bound = bound
+    With n = m(m+1)/2 + k, k height-1 columns are spun off nu, one box
+    moved at a time, and set aside as the leftover row (k).  What remains,
+    mu_hat, goes to the prover once, inside the square of rho_m with a
+    budget of _PIPELINE_NODES nodes; nu_hat is mu_hat beside the row (k).
+    Only the spin-off separates nu_hat from nu, so d <= k.  Raises
+    ValueError, naming nu_hat, m and the budget, when the prover finds no
+    certificate for mu_hat.
 
-    @property
-    def moves(self):
-        return len(self.trace) - 1
-
-
-def _greedy_columns(cols, caps):
-    """Deal ascending columns into bins with size caps; a column that no
-    longer fits ends its bin.  Returns the bins and the leftover columns."""
-    bins = [[] for _ in caps]
-    idx = 0
-    for b, cap in enumerate(caps):
-        total = 0
-        while idx < len(cols) and total + cols[idx] <= cap:
-            total += cols[idx]
-            bins[b].append(cols[idx])
-            idx += 1
-    return bins, cols[idx:]
-
-
-class _MoveLog:
-    """Column-multiset view of the whole shape, one block op at a time."""
-
-    def __init__(self, pieces, pool):
-        self.pieces = pieces  # lists of column heights
-        self.pool = sorted(pool, reverse=True)
-        self.trace = [self._shape()]
-
-    def _shape(self):
-        cols = list(self.pool)
-        for p in self.pieces:
-            cols.extend(p)
-        return pt.from_columns(cols)
-
-    def _draw(self):
-        """Take one block from the tallest pool column, if any."""
-        if not self.pool:
-            return
-        self.pool[0] -= 1
-        if self.pool[0] == 0:
-            self.pool.pop(0)
-        else:
-            self.pool.sort(reverse=True)
-
-    def add_block(self, piece, tall):
-        self._draw()
-        cols = self.pieces[piece]
-        if tall and cols:
-            cols[cols.index(max(cols))] += 1
-        else:
-            cols.append(1)
-        shape = self._shape()
-        if shape != self.trace[-1]:  # a pool relabeling is not a move
-            self.trace.append(shape)
-
-
-def cut_tail(mu, targets, C):
-    """Grow mu into a partition proved inside the tensor square of a
-    horizontal sum of staircases, logging every block move.
-
-    The targets must all have side b or b-1 for some b; columns are dealt
-    smallest-first, pieces with only short columns are padded by new
-    height-1 columns, tall pieces are split four ways and padded by unit
-    rows, and any stubborn piece falls back to the staircase prover.
-    """
-    mu = pt.check_partition(mu)
-    targets = list(targets)
-    if not targets:
-        raise ValueError("need at least one target")
-    b = max(targets)
-    if any(s not in (b - 1, b) for s in targets):
-        raise ValueError("targets must have side b or b-1")
-    cols = sorted(pt.conjugate(mu))
-    if cols and cols[-1] > C:
-        raise ValueError("tallest column exceeds C")
-    gap = sum(pt.triangular(s) for s in targets) - pt.size(mu)
-    if not 0 <= gap <= C:
-        raise ValueError("size gap outside [0, C]")
-    half = -(-b // 2)
-
-    bins, leftover = _greedy_columns(cols, [pt.triangular(s) for s in targets])
-    # pieces: [side, columns, tall flag]; each target's recipe joins its
-    # pieces, one staircase or the k=2 grid split
-    pieces = []
-    recipes = []
-    pool = list(leftover)
-    for s, own in zip(targets, bins):
-        whole = pt.from_columns(own)
-        if (sum(own) == pt.triangular(s)
-                and pt.comparable(whole, pt.staircase(s))):
-            recipes.append(("stair", s))
-            pieces.append([s, list(own), bool(own) and min(own) >= s])
-            continue
-        if not own or max(own) <= half:
-            recipes.append(("stair", s))
-            pieces.append([s, list(own), False])
-            continue
-        # tall piece: split four ways like the k=2 staircase grid
-        recipes.append(pt.stair_grid(s, 2))
-        subsides = pt.recipe_sides(recipes[-1])
-        subs, extra = _greedy_columns(sorted(own),
-                                      [pt.triangular(t) for t in subsides])
-        pool.extend(extra)
-        for t, sub in zip(subsides, subs):
-            tall = bool(sub) and min(sub) >= t
-            pieces.append([t, sub, tall])
-
-    log = _MoveLog([p[1] for p in pieces], pool)
-    for idx, (s, _, tall) in enumerate(pieces):
-        need = pt.triangular(s) - sum(log.pieces[idx])
-        for _ in range(need):
-            log.add_block(idx, tall)
-    if log.pool:
-        raise AssertionError("leftover columns not consumed")
-
-    exceptional = 0
-    piece_certs = []
-    for (s, _, _), colset in zip(pieces, log.pieces):
-        part = pt.from_columns(colset)
-        cert = prove_in_staircase_square(s, part)
-        if cert is None:
-            # walk the piece toward the staircase until it is provable
-            for step in pt.move_trace(part, pt.staircase(s))[1:]:
-                exceptional += 1
-                part = step
-                colset[:] = list(pt.conjugate(part))
-                log.trace.append(log._shape())
-                cert = prove_in_staircase_square(s, part)
-                if cert is not None:
-                    break
-        piece_certs.append(cert)
-
-    # each target's recipe takes its pieces' certificates off one iterator
-    certs = iter(piece_certs)
-    part_certs = [fold_certs(r, certs) for r in recipes]
-    if any(c.goal[1] != pt.staircase(s) for c, s in zip(part_certs, targets)):
-        raise AssertionError("piece reassembly mismatch")
-    parts = [c.goal[0] for c in part_certs]
-    cert = fold_certs(("H", [("stair", s) for s in targets]), part_certs)
-    mu_hat = cert.goal[0]
-
-    structured = len(log.trace) - 1 - exceptional
-    bound = (4 * len(targets) + 9) * C
-    if structured > bound:
-        raise AssertionError("structured moves exceed the bound")
-    if log.trace[-1] != mu_hat:
-        raise AssertionError("trace does not end at the adjusted partition")
-    return CutTailResult(mu=mu, mu_hat=mu_hat, targets=targets, parts=parts,
-                         part_certs=part_certs, certificate=cert,
-                         trace=log.trace, structured_moves=structured,
-                         exceptional_moves=exceptional, bound=bound)
-
-
-def _shed_blocks(nu, count):
-    """Remove count boxes, always from the end of the last row."""
-    rows = list(nu)
-    for _ in range(count):
-        rows[-1] -= 1
-        if rows[-1] == 0:
-            rows.pop()
-    return pt.from_rows(rows)
-
-
-def _near_square(m, mu, attempt_nodes=30000):
-    """A partition provable in the square of rho_m, near mu.
-
-    Tries the prover on mu itself, then conjugates so the arm of the
-    Durfee square is at least the leg, peels a four-layer split of the
-    staircase, and fixes the two remaining pieces recursively.
-    """
-    cert = prove_in_staircase_square(m, mu, budget=Budget(attempt_nodes))
-    if cert is not None:
-        return mu, cert
-    rho = pt.staircase(m)
-    conj = pt.conjugate(mu)
-    durfee = pt.durfee(mu)
-    arm = pt.size(mu[:durfee]) - durfee * durfee
-    leg = pt.size(conj[:durfee]) - durfee * durfee
-    if leg > arm:
-        target, cert = _near_square(m, conj, attempt_nodes)
-        flipped = conjugate_cert(cert, (0, 1))
-        if flipped.goal != (pt.conjugate(target), rho, rho):
-            raise AssertionError("conjugate retry mismatch")
-        return pt.conjugate(target), flipped
-
-    x, y, zs = pt.layer_sides(m, 4, 1) or pt.layer_sides(m, 4, 2)
-    recipe = pt.layer_step(("stair", x), 4, y, zs)
-    cols = list(pt.conjugate(mu))
-    total = 0
-    j = 0
-    while total < pt.triangular(x):
-        total += cols[j]
-        j += 1
-    head = pt.from_columns(cols[:j])
-    tail = pt.from_columns(cols[j:])
-    C = max(1, cols[j - 1])
-    ct = cut_tail(tail, pt.recipe_sides(recipe)[1:], C)
-
-    excess = pt.size(head) - pt.triangular(x)
-    _, head_cert = _near_square(x, _shed_blocks(head, excess), attempt_nodes)
-
-    full = fold_certs(recipe, [head_cert] + ct.part_certs)
-    if full.goal[1] != rho:
-        raise AssertionError("layer reassembly does not rebuild the staircase")
-    return full.goal[0], full
-
-
-def fourth_power_pipeline(nu, attempt_nodes=30000):
-    """Certificate for a partition near nu inside the square of the
-    irregular staircase, plus the block moves joining them.
-
-    Returns a report with the adjusted partition, its certificate, the
-    move trace back to nu, and the move count d with d / sqrt(2n).
+    Returns a report with nu_hat, its certificate, the move trace back to
+    nu, and the move count d with d / sqrt(2n).
     """
     nu = pt.check_partition(nu)
     n = pt.size(nu)
@@ -359,13 +146,18 @@ def fourth_power_pipeline(nu, attempt_nodes=30000):
     for _ in range(k):
         cols.remove(1)
     mu_hat = pt.from_columns(cols)
+    nu_hat = pt.hsum(mu_hat, (k,)) if k else mu_hat
 
-    inner_target, cert = _near_square(m, mu_hat, attempt_nodes)
-    nu_hat = inner_target
+    cert = prove_in_staircase_square(m, mu_hat, budget=Budget(_PIPELINE_NODES))
+    if cert is None:
+        raise ValueError(
+            "no certificate for nu_hat=%s: the prover did not place %s in "
+            "the square of rho_%d within %d nodes"
+            % (pt.format_partition(nu_hat), pt.format_partition(mu_hat), m,
+               _PIPELINE_NODES))
     if k:
         row = base_generalized_dominance((k,), (k,))
         cert = combine_h(cert, row)
-        nu_hat = pt.hsum(inner_target, (k,))
     if cert.goal != (nu_hat, xi, xi):
         raise AssertionError("pipeline certificate proves the wrong goal")
 

@@ -203,14 +203,6 @@ def layer_step(core, k, y, zs):
     return ("V", [top, ("H", [("stair", z) for z in zs])])
 
 
-def durfee(lam):
-    """Side of the largest square fitting in the diagram."""
-    d = 0
-    while d < len(lam) and lam[d] >= d + 1:
-        d += 1
-    return d
-
-
 def is_hook(lam):
     return bool(lam) and all(r == 1 for r in lam[1:])
 

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from kronwork import cli
 from kronwork import decomp
 from kronwork import partitions as pt
 from kronwork import prover
@@ -67,28 +70,6 @@ def test_split_failure_is_reported_not_raised():
         assert prover.deal_grid(6, (pt.triangular(6),), deal) is None
 
 
-def test_cut_tail_identity_case():
-    res = decomp.cut_tail((5, 4, 3, 2, 1), [5], 5)
-    assert res.moves == 0
-    assert verify_certificate(res.certificate)[0]
-
-
-def test_cut_tail_moves_and_trace():
-    mu = (9, 9, 8, 8, 8, 6, 4)
-    res = decomp.cut_tail(mu, [5, 5, 5, 4], 9)
-    assert verify_certificate(res.certificate)[0]
-    assert res.trace[0] == mu
-    assert res.trace[-1] == res.mu_hat
-    for a, b in zip(res.trace, res.trace[1:]):
-        assert pt.is_single_step(a, b)
-    assert res.structured_moves <= res.bound
-
-
-def test_cut_tail_validates_targets():
-    with pytest.raises(ValueError):
-        decomp.cut_tail((5, 4, 3, 2, 1), [5, 2], 5)
-
-
 def test_fourth_power_pipeline_easy():
     nu = pt.staircase(10)  # 55 boxes, comparable outright
     out = decomp.fourth_power_pipeline(nu)
@@ -98,37 +79,42 @@ def test_fourth_power_pipeline_easy():
     assert out["ratio"] == pytest.approx(out["d"] / (2 * 55) ** 0.5)
 
 
-@pytest.mark.parametrize("i", [34, 45])
-def test_fourth_power_pipeline_passes_attempt_nodes_to_every_attempt(monkeypatch, i):
-    # with no nodes, uniform draws 34 and 45 at n = 210 fail the first
-    # attempt, take the conjugate branch of `_near_square` and then its
-    # head recursion; both recursive calls used to run the prover on the
-    # default budget of 30,000 nodes
-    budgets = []
-    prove = decomp.prove_in_staircase_square
-
-    def spy(m, nu, budget=None, **kw):
-        if budget is not None:  # cut_tail's calls pass no budget
-            budgets.append(budget.nodes)
-        return prove(m, nu, budget=budget, **kw)
-
-    monkeypatch.setattr(decomp, "prove_in_staircase_square", spy)
-    nu = samplers.draw("uniform", 210, 20260826, i)
-    out = decomp.fourth_power_pipeline(nu, attempt_nodes=0)
-    assert verify_certificate(out["certificate"])[0]
-    assert budgets == [0, 0, 0]
+def test_fourth_power_pipeline_fails_closed_with_a_reason(monkeypatch, capsys):
+    monkeypatch.setattr(decomp, "prove_in_staircase_square",
+                        lambda m, nu, budget=None: None)
+    with pytest.raises(ValueError) as err:
+        decomp.fourth_power_pipeline(pt.staircase(10))
+    msg = str(err.value)
+    assert "nu_hat=10,9,8,7,6,5,4,3,2,1" in msg
+    assert "rho_10" in msg and "30000 nodes" in msg
+    argv = ["experiment", "--kind", "fourth-power", "--n", "55", "--seed", "1"]
+    assert cli.dispatch(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: no certificate for nu_hat=")
 
 
-def test_fourth_power_pipeline_forced_decomposition():
-    # nu is dominance-comparable to rho_10, so even with attempt_nodes=0
-    # the first prover call returns a dominance leaf and d = 0: the budget
-    # does not bound the leaf checks, and the structural path is not taken
-    nu = pt.conjugate((20,) + (5,) * 7)
-    out = decomp.fourth_power_pipeline(nu, attempt_nodes=0)
-    assert verify_certificate(out["certificate"])[0]
-    trace = out["trace"]
-    if trace:
-        assert trace[0] == out["nu_hat"]
-        assert trace[-1] == out["nu"]
-        for a, b in zip(trace, trace[1:]):
-            assert pt.is_single_step(a, b)
+@pytest.mark.parametrize("measure, digest", [
+    ("plancherel", "a5ec362ff50b7378aa77c4717a38374e1f32ff335e6a2cb6e8f35207e9a2c851"),
+    ("uniform", "81667c52a5f8d743e358ac581e67eaf3656d8ff5a35f99ba8e7365e90e48e859"),
+])
+def test_pipeline_corpus_certificates_are_pinned(measure, digest):
+    h = hashlib.sha256()
+    for n in (55, 105, 210):
+        for i in range(50):
+            nu = samplers.draw(measure, n, 20260826, i)
+            cert = decomp.fourth_power_pipeline(nu)["certificate"]
+            h.update((cert.to_json() + "\n").encode())
+    assert h.hexdigest() == digest
+
+
+def test_pipeline_moves_at_most_the_leftover():
+    # n = m(m+1)/2 + k: only the spin-off of k columns separates nu_hat
+    # from nu, so d <= k for every nu, here every nu of n <= 30
+    for n in range(1, 31):
+        m, k = pt.staircase_fit(n)
+        xi = pt.irregular_staircase(n)
+        for nu in pt.partitions_of(n):
+            out = decomp.fourth_power_pipeline(nu)
+            assert out["certificate"].goal == (out["nu_hat"], xi, xi), nu
+            assert out["d"] <= k, nu

@@ -115,7 +115,6 @@ def test_rectangle_and_hooks():
     assert pt.rectangle(2, 3) == (2, 2, 2)
     assert pt.is_hook((5, 1, 1))
     assert not pt.is_hook((3, 2))
-    assert pt.durfee((4, 3, 1)) == 2
 
 
 def test_partition_count_matches_enumeration():

@@ -198,6 +198,12 @@ def test_budget_stops_search():
     # with no budget only the cheap direct leaves are available
     if cert is not None:
         assert verify_certificate(cert)[0]
+    # a target dominance-comparable with rho_m still gets its leaf
+    nu = pt.conjugate((20,) + (5,) * 7)
+    cert = prove_in_staircase_square(10, nu, budget=Budget(0))
+    assert cert.kind == "DominanceStaircase"
+    assert cert.goal == (nu,) + (pt.staircase(10),) * 2
+    assert verify_certificate(cert) == (True, "ok")
 
 
 def test_verify_saxl_m4():
