@@ -79,6 +79,22 @@ def test_fourth_power_pipeline_easy():
     assert out["ratio"] == pytest.approx(out["d"] / (2 * 55) ** 0.5)
 
 
+def test_fourth_power_pipeline_forced_decomposition():
+    # nu is dominance-comparable to rho_10, so the pipeline's one prover
+    # call returns a dominance leaf and d = 0: no structural path is needed
+    nu = pt.conjugate((20,) + (5,) * 7)
+    out = decomp.fourth_power_pipeline(nu)
+    assert verify_certificate(out["certificate"])[0]
+    assert out["certificate"].kind == "DominanceStaircase"
+    assert out["nu_hat"] == nu and out["d"] == 0
+    trace = out["trace"]
+    if trace:
+        assert trace[0] == out["nu_hat"]
+        assert trace[-1] == out["nu"]
+        for a, b in zip(trace, trace[1:]):
+            assert pt.is_single_step(a, b)
+
+
 def test_fourth_power_pipeline_fails_closed_with_a_reason(monkeypatch, capsys):
     monkeypatch.setattr(decomp, "prove_in_staircase_square",
                         lambda m, nu, budget=None: None)
