@@ -239,24 +239,22 @@ class Certificate:
         objects.  A node the key cannot hold exactly is decoded unshared,
         and a line with no reference is rejected with the error it gets
         without a table.  The table holds every distinct sub-certificate
-        while it lives, which is why the saxl log reader keeps one and the
-        legacy per-file reader, a fallback for old caches, does not (see
-        `verify_certificate`).
+        while it lives.  A line that does not decode, bytes that are not
+        UTF-8 too, still counts: the next line keeps its number.
         """
-        if type(text) is bytes:
-            text = text.decode()
-        if table is None:
-            return _decode(_json(text), None, False)
-        inline, ends = table.inline, table.ends
-        if line != len(ends):
-            raise ValueError("line %r is not the next line, %d" % (line, len(ends)))
+        if table is not None and line != len(table.ends):
+            raise ValueError("line %r is not the next line, %d" % (line, len(table.ends)))
         try:
+            if type(text) is bytes:
+                text = text.decode()
             return _decode(_json(text), table, False)
         except DECODE_ERRORS:
-            del inline[ends[-1]:]
+            if table is not None:
+                del table.inline[table.ends[-1]:]
             raise
         finally:
-            ends.append(len(inline))
+            if table is not None:
+                table.ends.append(len(table.inline))
 
     def leaves(self):
         if not self.children:

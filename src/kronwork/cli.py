@@ -124,6 +124,8 @@ def _cmd_verify_cert(args):
 def _cmd_decompose(args):
     from . import decomp
 
+    if args.smooth and args.i is None:
+        raise ValueError("decompose --smooth needs --i")
     if args.i is not None:
         d = decomp.layer_decomposition(args.m, args.k, args.i, smooth=args.smooth)
         return {

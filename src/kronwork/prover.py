@@ -517,52 +517,72 @@ def _find(targets, nu, start):
     return lo if lo < len(targets) and targets[lo] == nu else None
 
 
-def _read_log(path, targets, rho, proved, rejected, table):
-    """Set proved[i] for each target targets[i] that a line of the log at
-    path proves, and count the rejected lines by reason in `rejected`.
-    Returns the number of targets proved, of the distinct sub-certificates
-    verified and of the lines read, a cut last line included.
+def _read(entries, targets, rho, proved, table):
+    """Set proved[i] for each target targets[i] that an entry proves.
+    entries yields (path, number, text): the text at line `number` of the
+    file at path, which is decoded as the next line of table.  Returns the
+    number of targets proved, of the distinct sub-certificates verified and
+    the rejected entries by reason.
 
-    The log is read a line at a time.  A line is a hit when it decodes,
-    proves exactly (nu; rho, rho) for a target nu not yet proved, and
-    verifies.  A later line for a proved target is skipped unverified; any
-    other line is a miss, and stderr says why.  The lines are decoded over
-    one table, where a reference to an earlier line resolves to the node
-    decoded there, and verified over one memo and one dict of factor
-    shapes, so a sub-certificate or a factor that recurs across lines, as
-    the staircase pieces do, is one object, checked once; each line is still
-    verified in full.
+    An entry is a hit when it decodes, proves exactly (nu; rho, rho) for a
+    target nu not yet proved, and verifies.  A later entry for a proved
+    target is skipped unverified; any other entry is a miss, and stderr says
+    why.  A reference to an earlier line of the table resolves to the node
+    decoded there, and the entries are verified over one memo and one dict
+    of factor shapes, so a sub-certificate or a factor that recurs across
+    entries, as the staircase pieces do, is one object, checked once; each
+    entry is still verified in full.
     """
+    memo, shapes, rejected = {}, {}, {}
+    hits = nxt = 0
+    for path, number, text in entries:
+        try:
+            cert = Certificate.from_json(text, table, len(table.ends))
+        except DECODE_ERRORS as e:
+            reason, why = "unreadable", "unreadable (%s)" % e
+        else:
+            goal = cert.goal
+            i = _find(targets, goal[0], nxt) if goal[1:] == (rho, rho) else None
+            if i is None:
+                reason, why = "foreign", "it proves %r" % (goal,)
+            elif proved[i]:
+                continue
+            else:
+                nxt = i + 1
+                ok, msg = verify_certificate(cert, memo=memo, shapes=shapes)
+                if ok:
+                    proved[i] = True
+                    hits += 1
+                    continue
+                reason, why = "invalid", "invalid (%s)" % msg
+        rejected[reason] = rejected.get(reason, 0) + 1
+        print("saxl: skipping %s line %d: %s" % (path, number, why), file=sys.stderr)
+    return hits, len(memo), rejected
+
+
+def _log_lines(path):
+    """The entries of the log at path for `_read`: each of its lines."""
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
-        return 0, 0, 0
-    memo, shapes = {}, {}
-    hits = nxt = number = 0
+        return
     with fh:
         for number, line in enumerate(fh, 1):
+            yield path, number, line
+
+
+def _legacy_files(cache_dir, m, targets, proved):
+    """The entries of the legacy layout for `_read`: the file of each
+    target not proved when it is reached, in target order, as line 1."""
+    for nu, done in zip(targets, proved):
+        if not done:
+            path = cache_path(cache_dir, m, nu)
             try:
-                cert = Certificate.from_json(line, table, number)
-            except DECODE_ERRORS as e:
-                reason, why = "unreadable", "unreadable (%s)" % e
-            else:
-                goal = cert.goal
-                i = _find(targets, goal[0], nxt) if goal[1:] == (rho, rho) else None
-                if i is None:
-                    reason, why = "foreign", "it proves %r" % (goal,)
-                elif proved[i]:
-                    continue
-                else:
-                    nxt = i + 1
-                    ok, msg = verify_certificate(cert, memo=memo, shapes=shapes)
-                    if ok:
-                        proved[i] = True
-                        hits += 1
-                        continue
-                    reason, why = "invalid", "invalid (%s)" % msg
-            rejected[reason] = rejected.get(reason, 0) + 1
-            print("saxl: skipping %s line %d: %s" % (path, number, why), file=sys.stderr)
-    return hits, len(memo), number
+                with open(path, "rb") as fh:
+                    text = fh.read()
+            except FileNotFoundError:
+                continue
+            yield path, 1, text
 
 
 def _has_legacy_files(cache_dir, m):
@@ -570,32 +590,6 @@ def _has_legacy_files(cache_dir, m):
     prefix = "m%d_" % m
     with os.scandir(cache_dir) as entries:
         return any(e.name.startswith(prefix) for e in entries)
-
-
-def _read_cached(path, goal):
-    """The certificate cached at path, or None unless it verifies and proves
-    exactly goal.
-
-    A missing, unreadable, foreign or invalid entry is a cache miss, so the
-    caller proves the target again and appends it to the log.
-    """
-    try:
-        with open(path) as fh:
-            cert = Certificate.from_json(fh.read())
-    except FileNotFoundError:
-        return None
-    except DECODE_ERRORS as e:
-        print("saxl: re-proving %s: unreadable (%s)" % (path, e), file=sys.stderr)
-        return None
-    if cert.goal != goal:
-        print("saxl: re-proving %s: it proves %r" % (path, cert.goal),
-              file=sys.stderr)
-        return None
-    ok, msg = verify_certificate(cert)
-    if not ok:
-        print("saxl: re-proving %s: invalid (%s)" % (path, msg), file=sys.stderr)
-        return None
-    return cert
 
 
 def _prove_into(m, nu, budget_nodes):
@@ -623,37 +617,36 @@ def verify_saxl(m, cache_dir=None, budget_nodes=DEFAULT_NODE_BUDGET, threads=1):
     """Prove every partition of m(m+1)/2 inside the staircase square.
 
     Returns a report dict.  A cache directory holds the log of m
-    (`log_path`), one certificate per line, read by `_read_log`.  Targets
-    the log does not prove fall back to the legacy layout, one file per
-    target (`cache_path`), which is only read.  The targets neither proves
-    are then proved and verified by `_prove_into`, in a pool of at most
-    `threads` processes and at most one per `_CHUNK` misses, or in this
-    process when that is one.  Their results come back here in target
-    order: this process counts them and, with a cache, encodes each
-    certificate against the log's table and appends it in one write of a
-    whole line, so neither the report nor the log depends on the thread
-    count, and a killed run loses at most the line being written.  Stderr
-    notes the progress every 1000 targets it proves here and, with a cache,
-    ends with a line that sums up where the proofs came from.
+    (`log_path`), one certificate per line.  Targets the log does not prove
+    fall back to the legacy layout, one file per target (`cache_path`),
+    which is only read.  `_read` reads both: the log's lines over the log's
+    table, and the legacy files over a throwaway table, each file as its
+    line 1 in the messages.  The targets neither proves are then proved and
+    verified by `_prove_into`, in a pool of at most `threads` processes and
+    at most one per `_CHUNK` misses, or in this process when that is one.
+    Their results come back here in target order: this process counts
+    them and, with a cache, encodes each certificate against the log's
+    table and appends it in one write of a whole line, so neither the
+    report nor the log depends on the thread count, and a killed run loses
+    at most the line being written.  Stderr notes the progress every 1000
+    targets it proves here and, with a cache, ends with a line that sums up
+    where the proofs came from; its rejected lines are the log's only.
     """
     n = pt.triangular(m)
     rho = pt.staircase(m)
     targets = pt.partitions_of(n)
     proved = [False] * len(targets)
-    rejected = {}
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
         path = log_path(cache_dir, m)
         table = Table()
-        from_log, shared, lines = _read_log(path, targets, rho, proved, rejected, table)
+        from_log, shared, rejected = _read(_log_lines(path), targets, rho, proved, table)
+        lines = len(table.ends) - 1
         from_files = 0
         # a directory with no legacy file, like a cold one, skips the lookups
         if not all(proved) and _has_legacy_files(cache_dir, m):
-            for i, nu in enumerate(targets):
-                if not proved[i] and _read_cached(
-                        cache_path(cache_dir, m, nu), (nu, rho, rho)) is not None:
-                    proved[i] = True
-                    from_files += 1
+            from_files = _read(_legacy_files(cache_dir, m, targets, proved),
+                               targets, rho, proved, Table())[0]
     todo = [i for i, ok in enumerate(proved) if not ok]
     jobs = (repeat(m), [targets[i] for i in todo], repeat(budget_nodes))
     workers = min(threads, -(-len(todo) // _CHUNK))

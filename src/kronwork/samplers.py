@@ -244,6 +244,8 @@ def sample_report(measure, n, samples, seed):
 
 def experiment_flexibility(n, beta, samples, seed):
     """Empirical probability that a Plancherel partition is flexible."""
+    if not math.isfinite(beta):
+        raise ValueError("beta must be finite, not %r" % beta)
     check_samples(samples)
     hits = 0
     for i in range(samples):

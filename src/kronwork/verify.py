@@ -101,13 +101,10 @@ def verify_certificate(cert, memo=None, shapes=None):
     reused, and a tuple of ints does not change.  Without one, each call
     keeps its own.
 
-    The saxl log reader keeps one table, one memo and one shapes dict for
-    the whole log, where the factors are a few objects (41 distinct ones for
-    the 9,510 factor entries of the m=7 log: rho_m and its pieces).  The
-    reader of the legacy one-file-per-target cache keeps neither: it is a
-    fallback for caches from before the log, and there the memo traded
-    memory for time (warm m=8 over 17,977 files on 2 cores, Python 3.11.7:
-    0.96-1.08 s down to 0.66-0.77 s, peak RSS up from 23.7 to 29.3 MB).
+    The saxl cache reader keeps one table, one memo and one shapes dict for
+    the whole log, and others for the legacy one-file-per-target files.
+    The factors are a few objects (41 distinct ones for the 9,510 factor
+    entries of the m=7 log: rho_m and its pieces).
     """
     if not isinstance(cert, Certificate):
         return False, "the root is a %s, not a certificate" % type(cert).__name__

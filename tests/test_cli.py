@@ -195,6 +195,26 @@ def test_decompose_grid_without_i(capsys):
     assert doc["flakes"] == sides[:-1]
 
 
+def test_decompose_smooth_without_i_fails_closed(capsys):
+    # --smooth only applies to a layer decomposition: without --i it used to
+    # be ignored, and the plain grid was printed
+    assert cli.dispatch(["decompose", "--m", "10", "--k", "3", "--smooth"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: decompose --smooth needs --i\n"
+
+
+@pytest.mark.parametrize("beta", ["inf", "-inf", "nan"])
+def test_flexibility_with_a_beta_that_is_not_finite_fails_closed(capsys, beta):
+    # inf used to end in an OverflowError traceback from math.ceil (exit 1),
+    # and nan exited 2 with "cannot convert float NaN to integer"
+    argv = ["experiment", "--kind", "flexibility", "--n", "10", "--samples", "3"]
+    assert cli.dispatch(argv + ["--beta=" + beta]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: beta must be finite, not %r\n" % float(beta)
+
+
 def test_sample_deterministic(capsys):
     args = ["sample", "--measure", "plancherel", "--n", "10", "--samples", "30", "--seed", "7"]
     code, doc = run(capsys, *args)

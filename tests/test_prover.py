@@ -616,6 +616,38 @@ def test_verify_saxl_opens_no_legacy_file_for_a_target_the_log_proves(
         "from the log: %d" % _distinct_subtrees(texts[nu] for nu in in_log))
 
 
+def test_verify_saxl_reproves_only_a_log_line_that_is_not_utf8(tmp_path, capsys):
+    # a byte that is not UTF-8 used to stop the line count, so every later
+    # line was rejected as "not the next line" and re-proved on each rerun
+    m = 4
+    lines = _cold_log(tmp_path, m)
+    lines[2] = b"\xff" + lines[2]
+    cache = _write_log(str(tmp_path / "m4"), m, lines)
+    capsys.readouterr()
+    assert _rerun(cache, m) == _goals([pt.partitions_of(10)[2]], m)
+    err = capsys.readouterr().err
+    assert len(re.findall(r"line \d+: ", err)) == 1 and "line 3: unreadable (" in err
+    assert _rerun(cache, m) == []
+
+
+def test_verify_saxl_reads_legacy_files_over_a_table_of_their_own(tmp_path):
+    # legacy files for every other target and no log: the lines the rerun
+    # writes refer only to earlier lines of the log itself, never to a
+    # node decoded from a legacy file
+    m = 5
+    texts = _cert_texts(m)
+    old = list(texts)[::2]
+    cache = _make_cache(tmp_path / "m5", m, "files", {nu: texts[nu] for nu in old})
+    assert _rerun(cache, m) == _goals([nu for nu in texts if nu not in old], m)
+    with open(prover.log_path(cache, m), "rb") as fh:
+        lines = fh.read().splitlines()
+    refs = [(k, ref[i]) for k, line in enumerate(lines, 1)
+            for ref, i in references(json.loads(line))]
+    assert refs and all(0 < at < k for k, (at, _) in refs)
+    assert None not in expand(lines)
+    assert _rerun(cache, m) == []
+
+
 def _v_splits_by_subsets(p, s):
     """Reference for `_v_splits`: an exclude-first walk over single rows.
     Its set order is the order the searches try vertical splits in, so the
