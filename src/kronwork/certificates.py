@@ -7,6 +7,7 @@ make and the verifier accepts.
 """
 
 import json
+import sys
 from array import array
 from functools import lru_cache
 
@@ -72,8 +73,8 @@ class Table:
     Lines are numbered from 1 and every line counts, one that is cut or
     does not decode too.  A line with no reference is a plain certificate.
 
-    - nodes: the content key of each non-root node decoded (`from_json`) to
-      the node;
+    - nodes: the content key of each non-root node decoded (`from_json`) or
+      interned (`intern`) to the node, so that each content is one object;
     - parse: the partition of a goal string below a root, each string
       parsed once.  A root's strings go through a bounded cache instead:
       its target is that of no other line, and keeping the targets raised
@@ -81,8 +82,11 @@ class Table:
     - inline: the inline non-root nodes of the lines read, in order; line
       L holds those from ends[L - 1] to ends[L], none if it did not
       decode.  These are what references resolve to;
-    - refs: the content key of each node the log holds to a reference to
-      it, built when the first line is written (`encode`).
+    - canon: the one copy of each factor (the goal past its target) of the
+      interned nodes, and of each of their metas, by its repr;
+    - refs: the id of each non-root node the log holds in full to the node
+      and its first (line, index), made from `inline` when the first line
+      is written and extended by each line written (`encode`).
     """
 
     def __init__(self):
@@ -90,6 +94,7 @@ class Table:
         self.parse = _Goals().__getitem__
         self.inline = []
         self.ends = array("q", [0])
+        self.canon = {}
         self.refs = None
 
     def resolve(self, ref):
@@ -101,62 +106,67 @@ class Table:
                 return self.inline[self.ends[line - 1] + i]
         raise ValueError("%.40r names no node of an earlier line" % (ref,))
 
+    def intern(self, cert):
+        """A certificate == cert whose non-root nodes are the table's: each
+        node of cert is replaced by the one the table holds under the key
+        `_decode` shares by, and a node the table does not hold is added,
+        made of the table's copies of its factors and meta; its target, and
+        the root's, is kept as it is.  The keys of the added nodes share one
+        string for each repr of a meta (`sys.intern`)."""
+        nodes, canon = self.nodes, self.canon
+
+        def factors(goal):
+            return goal[:1] + tuple([canon.setdefault(p, p) for p in goal[1:]])
+
+        def share(c):
+            kids = tuple(map(share, c.children))
+            ids, meta = tuple(map(id, kids)), repr(c.meta)
+            node = nodes.get((c.kind, c.goal, ids, meta))
+            if node is None:
+                goal, meta = factors(c.goal), sys.intern(meta)
+                node = nodes[c.kind, goal, ids, meta] = Certificate(
+                    c.kind, goal, kids, canon.setdefault(meta, c.meta))
+            return node
+
+        return Certificate(cert.kind, factors(cert.goal), tuple(map(share, cert.children)),
+                           cert.meta)
+
     def encode(self, cert, line):
         """The JSON text of cert as line number `line` of the log, which
         must follow every line read or written before.
 
-        Each non-root node whose content (kind, goal, the references of its
-        children and the repr of its meta, which tells apart what the
-        table's key does) an earlier line holds is written as a reference
-        to it, and every other node in full, in post-order positions that
-        later lines may refer to.  Expanding the references gives
-        `cert.to_json()`.
+        Each non-root node that an earlier line holds in full, the same
+        object, is written as a reference to the first place it was written
+        in full, and every other node in full, in post-order positions that
+        later lines may refer to.  A certificate interned into the table
+        (`intern`) therefore gets a reference for each node whose content an
+        earlier line holds.  Expanding the references gives `cert.to_json()`.
         """
         if self.refs is None:
-            self.refs = self._index()
-        refs, known, new = self.refs, {}, {}
-        count = 0
+            self.refs = {}
+            for number in range(1, len(self.ends)):
+                start = self.ends[number - 1]
+                for i, node in enumerate(self.inline[start:self.ends[number]]):
+                    self.refs.setdefault(id(node), (node, number, i))
+        refs, count = self.refs, 0
 
-        def find(c):
-            # the reference to c's content on an earlier line, or None
-            if id(c) not in known:
-                kids = [find(k) for k in c.children]
-                known[id(c)] = None if None in kids else refs.get(
-                    (c.kind, c.goal, tuple(kids), repr(c.meta)))
-            return known[id(c)]
-
-        def emit(c, root=False):
-            # c's JSON value and the reference to its content
+        def emit(c):
+            # c's JSON value: a reference, or c in full
             nonlocal count
-            ref = None if root else find(c)
-            if ref is not None:
-                return ref, ref
-            kids = [emit(k) for k in c.children]
-            if not root:
-                key = (c.kind, c.goal, tuple([r for _, r in kids]), repr(c.meta))
-                ref = new.setdefault(key, (line, count))
-                count += 1
-            return {"kind": c.kind, "goal": [pt.format_partition(p) for p in c.goal],
-                    "children": [doc for doc, _ in kids], "meta": c.meta}, ref
+            ref = refs.get(id(c))
+            if ref is not None and ref[1] != line:
+                return ref[1:]
+            doc = {"kind": c.kind, "goal": [pt.format_partition(p) for p in c.goal],
+                   "children": [emit(k) for k in c.children], "meta": c.meta}
+            if ref is None:
+                refs[id(c)] = (c, line, count)
+            count += 1
+            return doc
 
-        text = json.dumps(emit(cert, True)[0])
-        refs.update(new)
-        return text
-
-    def _index(self):
-        """refs of the lines read: each node's content to its first
-        reference.  A node whose key cannot be made is left out, and so is
-        every node above it."""
-        refs, ref_of = {}, {}
-        for line in range(1, len(self.ends)):
-            for i, node in enumerate(self.inline[self.ends[line - 1]:self.ends[line]]):
-                try:
-                    key = (node.kind, node.goal,
-                           tuple([ref_of[id(c)] for c in node.children]), repr(node.meta))
-                    ref_of.setdefault(id(node), refs.setdefault(key, (line, i)))
-                except (KeyError, TypeError, ValueError, RecursionError):
-                    pass
-        return refs
+        return json.dumps({"kind": cert.kind,
+                           "goal": [pt.format_partition(p) for p in cert.goal],
+                           "children": [emit(k) for k in cert.children],
+                           "meta": cert.meta})
 
 
 _FRESH_META = object()  # meta omitted: each node gets its own {}

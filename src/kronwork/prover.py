@@ -320,6 +320,9 @@ def _pack_search(m, nu, cols, layout, budget, depth):
         return None
 
     out = rec(0)
+    # rec holds itself through its closure: without the name, that cycle
+    # and the sets it reaches are freed now, not at a full collection
+    del rec
     if isinstance(out, Certificate):
         return out
     if depth > 0:
@@ -370,6 +373,7 @@ def _h_splits(p, s):
             acc.pop()
 
     rec(0, s, s, s, [])
+    del rec  # as in `_pack_search`
     return out
 
 
@@ -394,6 +398,7 @@ def _v_splits(p, s):
             rec(j + 1, left - k * v, acc + (v,) * k)
 
     rec(0, s, ())
+    del rec  # as in `_pack_search`
     return list(out)
 
 
@@ -482,7 +487,10 @@ def _chunk_search(goal, budget):
         memo.add(goal)
         return None
 
-    return rec(goal)
+    try:
+        return rec(goal)
+    finally:
+        del rec  # as in `_pack_search`
 
 
 # ---------------------------------------------------------------------------
@@ -517,23 +525,25 @@ def _find(targets, nu, start):
     return lo if lo < len(targets) and targets[lo] == nu else None
 
 
-def _read(entries, targets, rho, proved, table):
+def _read(entries, targets, rho, proved, table, memo, shapes):
     """Set proved[i] for each target targets[i] that an entry proves.
     entries yields (path, number, text): the text at line `number` of the
     file at path, which is decoded as the next line of table.  Returns the
-    number of targets proved, of the distinct sub-certificates verified and
-    the rejected entries by reason.
+    number of targets proved and the rejected entries by reason.
 
     An entry is a hit when it decodes, proves exactly (nu; rho, rho) for a
     target nu not yet proved, and verifies.  A later entry for a proved
     target is skipped unverified; any other entry is a miss, and stderr says
     why.  A reference to an earlier line of the table resolves to the node
-    decoded there, and the entries are verified over one memo and one dict
-    of factor shapes, so a sub-certificate or a factor that recurs across
-    entries, as the staircase pieces do, is one object, checked once; each
-    entry is still verified in full.
+    decoded there, and the entries are verified over the caller's memo and
+    dict of factor shapes (`verify_certificate`), so a sub-certificate or a
+    factor that recurs across entries, as the staircase pieces do, is one
+    object, checked once; each entry is still verified in full.  The memo
+    then holds each distinct sub-certificate verified, and the table each
+    one decoded, for the caller to check and write its fresh certificates
+    against.
     """
-    memo, shapes, rejected = {}, {}, {}
+    rejected = {}
     hits = nxt = 0
     for path, number, text in entries:
         try:
@@ -557,7 +567,7 @@ def _read(entries, targets, rho, proved, table):
                 reason, why = "invalid", "invalid (%s)" % msg
         rejected[reason] = rejected.get(reason, 0) + 1
         print("saxl: skipping %s line %d: %s" % (path, number, why), file=sys.stderr)
-    return hits, len(memo), rejected
+    return hits, rejected
 
 
 def _log_lines(path):
@@ -593,16 +603,10 @@ def _has_legacy_files(cache_dir, m):
 
 
 def _prove_into(m, nu, budget_nodes):
-    """Prove nu inside the square of rho_m and verify the certificate.
-    Returns it, or None when no certificate was found; it proves exactly
-    (nu; rho_m, rho_m), or the prover raises."""
-    cert = prove_in_staircase_square(m, nu, budget=Budget(budget_nodes))
-    if cert is None:
-        return None
-    ok, msg = verify_certificate(cert)
-    if not ok:
-        raise AssertionError("bad certificate for %s: %s" % (nu, msg))
-    return cert
+    """The certificate of nu inside the square of rho_m, or None when none
+    was found; it proves exactly (nu; rho_m, rho_m), or the prover raises.
+    It is not verified here: `verify_saxl` checks each one it gets back."""
+    return prove_in_staircase_square(m, nu, budget=Budget(budget_nodes))
 
 
 def _open_log(path):
@@ -620,33 +624,41 @@ def verify_saxl(m, cache_dir=None, budget_nodes=DEFAULT_NODE_BUDGET, threads=1):
     (`log_path`), one certificate per line.  Targets the log does not prove
     fall back to the legacy layout, one file per target (`cache_path`),
     which is only read.  `_read` reads both: the log's lines over the log's
-    table, and the legacy files over a throwaway table, each file as its
-    line 1 in the messages.  The targets neither proves are then proved and
-    verified by `_prove_into`, in a pool of at most `threads` processes and
-    at most one per `_CHUNK` misses, or in this process when that is one.
-    Their results come back here in target order: this process counts
-    them and, with a cache, encodes each certificate against the log's
-    table and appends it in one write of a whole line, so neither the
-    report nor the log depends on the thread count, and a killed run loses
-    at most the line being written.  Stderr notes the progress every 1000
-    targets it proves here and, with a cache, ends with a line that sums up
-    where the proofs came from; its rejected lines are the log's only.
+    table, memo and shapes dict, and the legacy files over throwaway ones,
+    each file as its line 1 in the messages.  The targets neither proves
+    are then proved by `_prove_into`, in a pool of at most `threads`
+    processes and at most one per `_CHUNK` misses, or in this process when
+    that is one.  Their certificates come back here in target order, and
+    this process checks each one, with a cache or without: its goal must
+    be exactly (nu; rho_m, rho_m), and it is interned into the log's table
+    (`Table.intern`) and verified over the log's memo and shapes dict, so
+    a sub-certificate that an earlier line or certificate holds is checked
+    once.  A certificate that fails raises an AssertionError that names its
+    target, before any line for it is written.  With a cache, each one is
+    then appended in one write of a whole line, encoded against the table,
+    so neither the report nor the log depends on the thread count, and a
+    killed run loses at most the line being written.  The table and the
+    memo keep each distinct sub-certificate of the run until it ends.
+    Stderr notes the progress every 1000 targets it proves here and, with
+    a cache, ends with a line that sums up where the proofs came from; its
+    rejected lines and distinct sub-certificates are the log read's only.
     """
     n = pt.triangular(m)
     rho = pt.staircase(m)
     targets = pt.partitions_of(n)
     proved = [False] * len(targets)
+    table, memo, shapes = Table(), {}, {}
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
         path = log_path(cache_dir, m)
-        table = Table()
-        from_log, shared, rejected = _read(_log_lines(path), targets, rho, proved, table)
+        from_log, rejected = _read(_log_lines(path), targets, rho, proved, table, memo, shapes)
+        shared = len(memo)
         lines = len(table.ends) - 1
         from_files = 0
         # a directory with no legacy file, like a cold one, skips the lookups
         if not all(proved) and _has_legacy_files(cache_dir, m):
             from_files = _read(_legacy_files(cache_dir, m, targets, proved),
-                               targets, rho, proved, Table())[0]
+                               targets, rho, proved, Table(), {}, {})[0]
     todo = [i for i, ok in enumerate(proved) if not ok]
     jobs = (repeat(m), [targets[i] for i in todo], repeat(budget_nodes))
     workers = min(threads, -(-len(todo) // _CHUNK))
@@ -663,6 +675,13 @@ def verify_saxl(m, cache_dir=None, budget_nodes=DEFAULT_NODE_BUDGET, threads=1):
         fd = None
         for done, (i, cert) in enumerate(zip(todo, run(_prove_into, *jobs)), 1):
             if cert is not None:
+                nu = targets[i]
+                if cert.goal != (nu, rho, rho):
+                    raise AssertionError("the certificate for %s proves %r" % (nu, cert.goal))
+                cert = table.intern(cert)
+                ok, msg = verify_certificate(cert, memo=memo, shapes=shapes)
+                if not ok:
+                    raise AssertionError("bad certificate for %s: %s" % (nu, msg))
                 proved[i] = True
                 fresh += 1
                 if cache_dir is not None:

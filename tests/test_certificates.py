@@ -608,3 +608,31 @@ def test_a_log_line_decodes_and_fails_as_with_the_plain_decoder(monkeypatch, tex
     got = outcome()
     monkeypatch.setattr(ct, "_json", json.JSONDecoder().decode)
     assert got == outcome()
+
+
+def test_interning_shares_the_nodes_of_a_log_by_their_whole_content():
+    # a fresh certificate interned into the table of a log: a node whose
+    # content a line holds below its root is that line's node, and the
+    # line written next refers to it; a node that differs in meta (2.0 for
+    # 2) is another; equal factors and metas become one object
+    def leaf(m=2):
+        return ct.Certificate("DominanceStaircase", ((3,), (2, 1), (2, 1)), meta={"m": m})
+
+    def wrap(child):
+        return ct.Certificate("Conjugate", child.goal, (child,), {"coords": []})
+
+    table = ct.Table()
+    read = ct.Certificate.from_json(wrap(leaf()).to_json(), table, 1)
+    fresh = ct.combine_h(wrap(wrap(leaf())), leaf(2.0))
+    shared = table.intern(fresh)
+    assert shared == fresh and shared is not fresh
+    (outer, other) = shared.children
+    assert outer.children[0].children[0] is read.children[0]
+    assert other is not read.children[0]
+    assert other.goal[1] is other.goal[2] is outer.children[0].goal[1]
+    assert outer.meta is outer.children[0].meta
+    again = table.intern(fresh)
+    assert again.children[0] is outer and again.children[1] is other
+    text = shared.to_json(table, 2)
+    assert json.loads(text)["children"][0]["children"][0]["children"] == [[1, 0]]
+    assert ct.Certificate.from_json(text, table, 2).to_json() == fresh.to_json()

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -9,6 +10,7 @@ from kronwork import characters as ch
 from kronwork import partitions as pt
 from kronwork import prover
 from kronwork import samplers
+from kronwork import verify
 from kronwork.prover import (
     Budget,
     _complement,
@@ -206,6 +208,20 @@ def test_budget_stops_search():
     assert verify_certificate(cert) == (True, "ok")
 
 
+def test_proving_leaves_no_garbage_cycles():
+    # each recursive walk of the search drops its name for itself when it
+    # returns, so the sets it reaches, up to a budget's worth of keys, are
+    # freed then, not at a full collection, which the long-lived nodes of
+    # a saxl run make rarer; this target runs the pack and chunk searches
+    gc.collect()
+    gc.disable()
+    try:
+        assert prove_in_staircase_square(8, (9, 7, 6, 5, 2, 2, 2, 2, 1)) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_verify_saxl_m4():
     report = verify_saxl(4)
     assert report["complete"]
@@ -297,16 +313,21 @@ def _rerun(cache, m, **kw):
     return [c.goal for c in certs]
 
 
-def _distinct_subtrees(lines):
-    """The number of distinct non-root subtrees of the certificates in the
-    log lines, told apart by their JSON with references inlined."""
+def _subtrees(lines):
+    """The distinct non-root subtrees of the certificates in the log lines,
+    as their JSON with references inlined."""
     seen = set()
     todo = [child for doc in expand(lines) for child in doc["children"]]
     while todo:
         node = todo.pop()
         seen.add(json.dumps(node))
         todo.extend(node["children"])
-    return len(seen)
+    return seen
+
+
+def _distinct_subtrees(lines):
+    """The number of distinct non-root subtrees in the log lines."""
+    return len(_subtrees(lines))
 
 
 def _goals(nus, m):
@@ -942,3 +963,84 @@ def test_verify_saxl_encodes_nothing_without_a_cache(monkeypatch):
     monkeypatch.setattr(Certificate, "to_json", lambda *args: encoded.append(args))
     assert verify_saxl(4)["complete"]
     assert encoded == []
+
+
+# What the prover hands back for (5,2,1,1,1) at m = 4, which is not
+# dominance-comparable with rho_4, and the error that stops the run: a
+# dominance leaf with the right goal, or the valid leaf of another target.
+BAD_CERTS = {
+    "rule": (lambda rho: Certificate("DominanceStaircase", ((5, 2, 1, 1, 1), rho, rho),
+                                     meta={"m": 4}),
+             r"bad certificate for \(5, 2, 1, 1, 1\): .*not dominance-comparable"),
+    "goal": (lambda rho: base_dominance(4, (4, 3, 2, 1)),
+             r"the certificate for \(5, 2, 1, 1, 1\) proves \(\(4, 3, 2, 1\), "),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_CERTS))
+@pytest.mark.parametrize("cached", [True, False], ids=["cache", "no-cache"])
+def test_verify_saxl_checks_each_fresh_certificate_before_writing_it(
+        tmp_path, monkeypatch, cached, bad):
+    # a fresh certificate that breaks a rule or proves another goal stops
+    # the run with an error that names its target, with a cache or
+    # without, and the log ends with the line before it
+    m, targets, nu = 4, pt.partitions_of(10), (5, 2, 1, 1, 1)
+    make, error = BAD_CERTS[bad]
+    prove = prover.prove_in_staircase_square
+    monkeypatch.setattr(prover, "prove_in_staircase_square", lambda m, target, budget=None: (
+        make(pt.staircase(m)) if target == nu else prove(m, target, budget=budget)))
+    cache = str(tmp_path / "m4") if cached else None
+    with pytest.raises(AssertionError, match=error):
+        verify_saxl(m, cache_dir=cache)
+    if cached:
+        with open(prover.log_path(cache, m), "rb") as fh:
+            docs = expand(fh.read().splitlines())
+        assert [Certificate.from_dict(doc).goal[0] for doc in docs] == list(
+            targets[:targets.index(nu)])
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cache", "no-cache"])
+def test_verify_saxl_checks_the_certificates_of_the_pool_here(tmp_path, monkeypatch, cached):
+    # the spawned workers only prove; this process verifies each
+    # certificate they hand back, once, in target order
+    seen = []
+    check = prover.verify_certificate
+    monkeypatch.setattr(prover, "verify_certificate",
+                        lambda cert, **kw: seen.append(cert.goal[0]) or check(cert, **kw))
+    cache = str(tmp_path / "m4") if cached else None
+    assert verify_saxl(4, cache_dir=cache, threads=2)["complete"]
+    assert seen == list(pt.partitions_of(10))
+
+
+def test_cold_saxl_checks_each_distinct_sub_certificate_once(tmp_path, monkeypatch, capsys):
+    # every non-root node the verifier checks in full, not from its memo,
+    # is a distinct sub-certificate of the log written, checked once; a
+    # rerun over the log cut after line k checks in full none of the nodes
+    # it read again, writes the same lines, and its summary counts the
+    # nodes of the read alone
+    m, keep = 6, 300
+    full = []
+    walk = verify._verify
+
+    def spy(cert, depth, seen, shapes):
+        if depth and id(cert) not in seen:
+            full.append(json.dumps(cert.to_dict()))
+        return walk(cert, depth, seen, shapes)
+
+    monkeypatch.setattr(verify, "_verify", spy)
+    lines = _cold_log(tmp_path, m)
+    assert len(full) == len(set(full)) and set(full) == _subtrees(lines)
+    read = _subtrees(lines[:keep])
+    assert 0 < len(read) < len(full)
+    cache = _write_log(str(tmp_path / "cut"), m, lines[:keep])
+    full.clear()
+    capsys.readouterr()
+    assert verify_saxl(m, cache_dir=cache)["complete"]
+    with open(prover.log_path(cache, m), "rb") as fh:
+        assert fh.read().splitlines(keepends=True) == lines
+    assert set(full[:len(read)]) == read
+    assert len(full) == len(set(full)) and set(full) == _subtrees(lines)
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "saxl m=6 cache: %d targets proved from the log, 0 from legacy files, %d in this "
+        "run; log lines rejected: none; distinct sub-certificates verified from the log: %d"
+        % (keep, 792 - keep, len(read)))
