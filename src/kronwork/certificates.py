@@ -55,6 +55,11 @@ def _json(text):
     return _decoder.decode(text)
 
 
+def _loads(text):
+    """The JSON value of text, str or UTF-8 bytes."""
+    return _json(text.decode() if type(text) is bytes else text)
+
+
 class _Goals(dict):
     """Goal text -> partition, each text parsed once; errors are not kept."""
 
@@ -63,9 +68,17 @@ class _Goals(dict):
         return goal
 
 
+def _node_json(c, child):
+    """The JSON object of node c, with child(k) for each child k."""
+    return {"kind": c.kind, "goal": [pt.format_partition(p) for p in c.goal],
+            "children": [child(k) for k in c.children], "meta": c.meta}
+
+
 class Table:
     """What one read of a certificate log keeps, for its later lines and
-    for the lines appended after it.
+    for the lines appended after it.  The table numbers the log's lines:
+    each line read with it (`Certificate.from_json`) or written with it
+    (`Certificate.to_json`) is the next one.
 
     A log holds one certificate JSON per line.  Below the root, a child may
     be a reference [line, index] instead of a node: the index-th inline
@@ -73,20 +86,21 @@ class Table:
     Lines are numbered from 1 and every line counts, one that is cut or
     does not decode too.  A line with no reference is a plain certificate.
 
-    - nodes: the content key of each non-root node decoded (`from_json`) or
-      interned (`intern`) to the node, so that each content is one object;
+    - nodes: the content key (`node`) of each non-root node decoded or
+      interned to the node, so that each content is one object;
     - parse: the partition of a goal string below a root, each string
       parsed once.  A root's strings go through a bounded cache instead:
       its target is that of no other line, and keeping the targets raised
       the peak RSS of a warm m=9 read from 59 to 84 MB;
-    - inline: the inline non-root nodes of the lines read, in order; line
-      L holds those from ends[L - 1] to ends[L], none if it did not
-      decode.  These are what references resolve to;
+    - inline: the inline non-root nodes of the lines read and written, in
+      order; line L holds those from ends[L - 1] to ends[L], none if it did
+      not decode, and the next line is line len(ends).  These are what
+      references resolve to;
     - canon: the one copy of each factor (the goal past its target) of the
-      interned nodes, and of each of their metas, by its repr;
-    - refs: the id of each non-root node the log holds in full to the node
-      and its first (line, index), made from `inline` when the first line
-      is written and extended by each line written (`encode`).
+      nodes the table made, and of each of their metas, by its repr;
+    - refs: the first (line, index) of each node in `inline`, by id, for
+      lines 1 to `indexed`, which `encode` brings up to the last line.
+      `inline` keeps the nodes, so their ids are not reused.
     """
 
     def __init__(self):
@@ -95,7 +109,8 @@ class Table:
         self.inline = []
         self.ends = array("q", [0])
         self.canon = {}
-        self.refs = None
+        self.refs = {}
+        self.indexed = 0
 
     def resolve(self, ref):
         """The node the reference ref names, on a line read before; a
@@ -106,34 +121,64 @@ class Table:
                 return self.inline[self.ends[line - 1] + i]
         raise ValueError("%.40r names no node of an earlier line" % (ref,))
 
+    def _factors(self, goal):
+        """goal with the table's one copy of each factor."""
+        canon = self.canon
+        return goal[:1] + tuple([canon.setdefault(p, p) for p in goal[1:]])
+
+    def node(self, kind, goal, children, meta, cast=None):
+        """The table's node of this content, else a new one, kept: made of
+        the table's one copy of each factor and of the meta, taken as
+        cast(meta) when a cast is given.
+
+        The content key is kind, goal, the children by identity (they are
+        the table's already) and the meta as given, by its repr, which
+        tells apart what == does not (1, 1.0 and true; -0.0 and 0.0; the
+        order of keys) and is exact for the values JSON decodes to.  A
+        verifier memo that trusts a node by identity (`verify_certificate`)
+        is therefore sound over the table's nodes, as two nodes that differ
+        in any field are two objects.  A node whose kind is not a string,
+        or whose meta has no repr, is made unshared.  The keys of the new
+        nodes share one string for each repr of a meta (`sys.intern`).
+        """
+        made = meta if cast is None else cast(meta)
+        try:
+            key = type(kind) is str and (kind, goal, tuple(map(id, children)), repr(meta))
+        except (ValueError, RecursionError):
+            key = None
+        if not key:
+            return Certificate(kind, goal, children, made)
+        node = self.nodes.get(key)
+        if node is None:
+            text, goal = sys.intern(key[3]), self._factors(goal)
+            node = self.nodes[kind, goal, key[2], text] = Certificate(
+                kind, goal, children, self.canon.setdefault(text, made))
+        return node
+
     def intern(self, cert):
-        """A certificate == cert whose non-root nodes are the table's: each
-        node of cert is replaced by the one the table holds under the key
-        `_decode` shares by, and a node the table does not hold is added,
-        made of the table's copies of its factors and meta; its target, and
-        the root's, is kept as it is.  The keys of the added nodes share one
-        string for each repr of a meta (`sys.intern`)."""
-        nodes, canon = self.nodes, self.canon
-
-        def factors(goal):
-            return goal[:1] + tuple([canon.setdefault(p, p) for p in goal[1:]])
-
+        """A certificate == cert whose non-root nodes are the table's
+        (`node`); its root keeps its target and takes the table's copy of
+        each factor."""
         def share(c):
-            kids = tuple(map(share, c.children))
-            ids, meta = tuple(map(id, kids)), repr(c.meta)
-            node = nodes.get((c.kind, c.goal, ids, meta))
-            if node is None:
-                goal, meta = factors(c.goal), sys.intern(meta)
-                node = nodes[c.kind, goal, ids, meta] = Certificate(
-                    c.kind, goal, kids, canon.setdefault(meta, c.meta))
-            return node
+            return self.node(c.kind, c.goal, tuple(map(share, c.children)), c.meta)
 
-        return Certificate(cert.kind, factors(cert.goal), tuple(map(share, cert.children)),
-                           cert.meta)
+        return Certificate(cert.kind, self._factors(cert.goal),
+                           tuple(map(share, cert.children)), cert.meta)
 
-    def encode(self, cert, line):
-        """The JSON text of cert as line number `line` of the log, which
-        must follow every line read or written before.
+    def decode(self, text):
+        """The certificate of text, str or UTF-8 bytes, as the log's next
+        line (`Certificate.from_json`).  A line that does not decode still
+        counts, and holds no node."""
+        try:
+            return _decode(_loads(text), self, False)
+        except DECODE_ERRORS:
+            del self.inline[self.ends[-1]:]
+            raise
+        finally:
+            self.ends.append(len(self.inline))
+
+    def encode(self, cert):
+        """The JSON text of cert as the log's next line.
 
         Each non-root node that an earlier line holds in full, the same
         object, is written as a reference to the first place it was written
@@ -141,32 +186,28 @@ class Table:
         later lines may refer to.  A certificate interned into the table
         (`intern`) therefore gets a reference for each node whose content an
         earlier line holds.  Expanding the references gives `cert.to_json()`.
+        A cert that does not encode takes no line.
         """
-        if self.refs is None:
-            self.refs = {}
-            for number in range(1, len(self.ends)):
-                start = self.ends[number - 1]
-                for i, node in enumerate(self.inline[start:self.ends[number]]):
-                    self.refs.setdefault(id(node), (node, number, i))
-        refs, count = self.refs, 0
+        refs, inline, ends = self.refs, self.inline, self.ends
+        for line in range(self.indexed + 1, len(ends)):
+            for i, node in enumerate(inline[ends[line - 1]:ends[line]]):
+                refs.setdefault(id(node), (line, i))
+        self.indexed = len(ends) - 1
+        full = []
 
         def emit(c):
             # c's JSON value: a reference, or c in full
-            nonlocal count
             ref = refs.get(id(c))
-            if ref is not None and ref[1] != line:
-                return ref[1:]
-            doc = {"kind": c.kind, "goal": [pt.format_partition(p) for p in c.goal],
-                   "children": [emit(k) for k in c.children], "meta": c.meta}
-            if ref is None:
-                refs[id(c)] = (c, line, count)
-            count += 1
+            if ref is not None:
+                return ref
+            doc = _node_json(c, emit)
+            full.append(c)
             return doc
 
-        return json.dumps({"kind": cert.kind,
-                           "goal": [pt.format_partition(p) for p in cert.goal],
-                           "children": [emit(k) for k in cert.children],
-                           "meta": cert.meta})
+        text = json.dumps(_node_json(cert, emit))
+        inline.extend(full)
+        ends.append(len(inline))
+        return text
 
 
 _FRESH_META = object()  # meta omitted: each node gets its own {}
@@ -213,19 +254,14 @@ class Certificate:
         return (self.__class__, (self.kind, self.goal, self.children, self.meta))
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "goal": [pt.format_partition(p) for p in self.goal],
-            "children": [c.to_dict() for c in self.children],
-            "meta": self.meta,
-        }
+        return _node_json(self, Certificate.to_dict)
 
-    def to_json(self, table=None, line=None):
-        """The certificate as JSON text; with a table and a line number, as
-        that line of the table's log (`Table.encode`)."""
+    def to_json(self, table=None):
+        """The certificate as JSON text; with a table, as the next line of
+        the table's log (`Table.encode`)."""
         if table is None:
             return json.dumps(self.to_dict())
-        return table.encode(self, line)
+        return table.encode(self)
 
     @staticmethod
     def from_dict(d):
@@ -233,38 +269,22 @@ class Certificate:
         return _decode(d, None, False)
 
     @staticmethod
-    def from_json(text, table=None, line=None):
-        """Decode a certificate from JSON text.
+    def from_json(text, table=None):
+        """Decode a certificate from JSON text, str or UTF-8 bytes.
 
-        With a table (a `Table` that the caller keeps across calls) and a
-        line number, text is that line of a log, read right after the lines
-        before it: each reference resolves to the node it names (see
-        `Table`), and a malformed one is a ValueError.  Every non-root node
-        whose full content equals that of a node decoded before is that
-        node: kind, goal, children (by identity, as they are shared
-        already) and meta (typed and in order, so that 1, 1.0 and true stay
-        apart).  A verifier memo that trusts a node by identity
-        (`verify_certificate`) is therefore sound over the decoded
-        certificates, as two nodes that differ in any field are two
-        objects.  A node the key cannot hold exactly is decoded unshared,
+        With a table (a `Table` that the caller keeps across calls), text
+        is the next line of the table's log (`Table.decode`): each
+        reference resolves to the node it names, and a malformed one is a
+        ValueError.  Every non-root node is the table's node of its content
+        (`Table.node`), so equal subtrees below the roots are one object,
         and a line with no reference is rejected with the error it gets
         without a table.  The table holds every distinct sub-certificate
-        while it lives.  A line that does not decode, bytes that are not
-        UTF-8 too, still counts: the next line keeps its number.
+        while it lives.  A line that does not decode still counts: the next
+        line keeps its number.
         """
-        if table is not None and line != len(table.ends):
-            raise ValueError("line %r is not the next line, %d" % (line, len(table.ends)))
-        try:
-            if type(text) is bytes:
-                text = text.decode()
-            return _decode(_json(text), table, False)
-        except DECODE_ERRORS:
-            if table is not None:
-                del table.inline[table.ends[-1]:]
-            raise
-        finally:
-            if table is not None:
-                table.ends.append(len(table.inline))
+        if table is not None:
+            return table.decode(text)
+        return _decode(_loads(text), None, False)
 
     def leaves(self):
         if not self.children:
@@ -281,15 +301,13 @@ class Certificate:
 def _decode(d, table, share):
     """The certificate of the JSON object d.  With a table, d is a line of
     its log (or a node of one), a child may be a reference, and every
-    child is shared; with `share` set, d is looked up in the table, its
-    goal strings are parsed through the table, and it is appended to the
-    table's inline nodes.
+    child is shared; with `share` set, d is the table's node of its content
+    (`Table.node`), its goal strings are parsed through the table, and it
+    is appended to the table's inline nodes.
 
     The fields are read in the order kind, goal, children, meta, so a bad
-    goal is reported before any error below it.  The key holds the parsed
-    goal, and meta as its repr, which tells apart what == does not (1, 1.0
-    and true; -0.0 and 0.0; the order of keys) and is exact for the values
-    JSON decodes to.  A key that cannot be made leaves the node unshared.
+    goal is reported before any error below it.  The node's meta is
+    dict(meta), and the content key holds the meta as given.
     """
     kind = d["kind"]
     raw = d["goal"]
@@ -306,19 +324,10 @@ def _decode(d, table, share):
         children = tuple([table.resolve(c) if type(c) is list
                           else _decode(c, table, True) for c in children])
     meta = d.get("meta", {})
-    node = key = None
-    if share and type(kind) is str:
-        try:
-            key = (kind, goal, tuple(map(id, children)), repr(meta))
-            node = table.nodes.get(key)
-        except (ValueError, RecursionError):
-            key = None
-    if node is None:
-        node = Certificate(kind, goal, children, dict(meta))
-        if key is not None:
-            table.nodes[key] = node
-    if share:
-        table.inline.append(node)
+    if not share:
+        return Certificate(kind, goal, children, dict(meta))
+    node = table.node(kind, goal, children, meta, dict)
+    table.inline.append(node)
     return node
 
 

@@ -106,7 +106,7 @@ def _prove(m, nu, budget, depth, allow_flip):
         if cert is not None:
             return cert
     for layout in _pack_layouts(m):
-        cert = _pack_search(m, nu, cols, layout, budget, depth)
+        cert = _pack_search(m, cols, layout, budget, depth)
         if cert is not None:
             return cert
         if budget.exhausted:
@@ -198,28 +198,39 @@ def _deal_cyclic(cols, caps):
 DEALINGS = {"uniform": _deal_greedy, "plancherel": _deal_cyclic}
 
 
-@lru_cache(maxsize=256)
-def _grid_layout(m):
-    """The 2x2 grid of rho_m, its piece sides in fold order, the pieces
-    from the largest side to the smallest, and their sizes."""
-    recipe = pt.stair_grid(m, 2)
-    sides = pt.recipe_sides(recipe)
-    order = sorted(range(len(sides)), key=lambda b: -sides[b])
-    return recipe, sides, order, [pt.triangular(sides[b]) for b in order]
-
-
 def deal_grid(m, cols, deal):
-    """Certificate for (nu; rho_m, rho_m) from the 2x2 grid, with the
-    columns `cols` of nu dealt into its pieces by `deal`, or None unless
-    every dealt piece is a staircase leaf."""
-    recipe, sides, order, caps = _grid_layout(m)
+    """Certificate for (nu; rho_m, rho_m) from the 2x2 grid, the first
+    layout of `_pack_layouts(m)`, with the columns `cols` of nu dealt into
+    its pieces by `deal`, largest first, or None unless every dealt piece is
+    a staircase leaf.  Below m = 2 there is no layout, and nu must be a
+    staircase leaf itself."""
+    if m < 2:
+        return _staircase_leaf(m, pt.from_columns(cols))
+    layout = _pack_layouts(m)[0]
+    sides, caps = layout[1], layout[2]
+    order = sorted(range(len(sides)), key=sides.__getitem__, reverse=True)
+    return _assemble(m, cols, layout, zip(order, deal(cols, [caps[b] for b in order])))
+
+
+def _assemble(m, cols, layout, pieces, prove=None):
+    """The certificate of (nu; rho_m, rho_m), for nu with the columns cols,
+    folded over one layout of `_pack_layouts(m)` with the columns of each
+    (b, columns) of pieces in piece b, or None.  Each piece in turn gets its
+    staircase leaf, else prove(b, lam) for its partition lam, and the first
+    piece with neither gives None.  An empty piece of side 0 needs none."""
+    recipe, sides, _ = layout
     certs = [None] * len(sides)
-    for b, dealt in zip(order, deal(cols, caps)):
-        if sides[b] or dealt:
-            certs[b] = _staircase_leaf(sides[b], pt.from_columns(dealt))
+    for b, piece in pieces:
+        if sides[b] or piece:
+            lam = pt.from_columns(piece)
+            certs[b] = _staircase_leaf(sides[b], lam) or (prove and prove(b, lam))
             if certs[b] is None:
                 return None
-    return fold_certs(recipe, certs)
+    cert = fold_certs(recipe, certs)
+    rho = pt.staircase(m)
+    if cert.goal != (pt.from_columns(cols), rho, rho):
+        raise AssertionError("grid assembly mismatch")
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -254,40 +265,24 @@ def _pack_layouts(m):
     return tuple(layouts)
 
 
-def _pack_search(m, nu, cols, layout, budget, depth):
-    """Pack the columns `cols` of nu into the pieces of one layout of
+def _pack_search(m, cols, layout, budget, depth):
+    """Pack the columns `cols` of the target into the pieces of one layout of
     `_pack_layouts(m)`."""
-    recipe, flat, caps = layout
+    _, flat, caps = layout
     bins = [[] for _ in flat]
     remaining = list(caps)
     failed = set()
     stash = []
 
     def finish(bins, recurse):
-        lams = [pt.from_columns(b) for b in bins]
-        certs = []
-        hard = []
-        for b, lam in enumerate(lams):
-            if flat[b] == 0:
-                certs.append(None)
-                continue
-            cert = _staircase_leaf(flat[b], lam)
-            certs.append(cert)
-            if cert is None:
-                hard.append(b)
-        if hard and not recurse:
-            if len(hard) <= 2 and len(stash) < 64:
-                stash.append([list(b) for b in bins])
-            return None
-        for b in hard:
-            sub = _prove(flat[b], lams[b], budget, depth - 1, True)
-            if sub is None:
-                return None
-            certs[b] = sub
-        cert = fold_certs(recipe, certs)
-        rho = pt.staircase(m)
-        if cert.goal != (nu, rho, rho):
-            raise AssertionError("pack assembly mismatch")
+        if recurse:
+            return _assemble(m, cols, layout, enumerate(bins),
+                             lambda b, lam: _prove(flat[b], lam, budget, depth - 1, True))
+        cert = _assemble(m, cols, layout, enumerate(bins))
+        if cert is None and len(stash) < 64 and sum(
+                _staircase_leaf(side, pt.from_columns(piece)) is None
+                for side, piece in zip(flat, bins) if side) <= 2:
+            stash.append([list(b) for b in bins])
         return cert
 
     def rec(idx):
@@ -547,7 +542,7 @@ def _read(entries, targets, rho, proved, table, memo, shapes):
     hits = nxt = 0
     for path, number, text in entries:
         try:
-            cert = Certificate.from_json(text, table, len(table.ends))
+            cert = Certificate.from_json(text, table)
         except DECODE_ERRORS as e:
             reason, why = "unreadable", "unreadable (%s)" % e
         else:
@@ -561,7 +556,7 @@ def _read(entries, targets, rho, proved, table, memo, shapes):
                 nxt = i + 1
                 ok, msg = verify_certificate(cert, memo=memo, shapes=shapes)
                 if ok:
-                    proved[i] = True
+                    proved[i] = 1
                     hits += 1
                     continue
                 reason, why = "invalid", "invalid (%s)" % msg
@@ -646,14 +641,13 @@ def verify_saxl(m, cache_dir=None, budget_nodes=DEFAULT_NODE_BUDGET, threads=1):
     n = pt.triangular(m)
     rho = pt.staircase(m)
     targets = pt.partitions_of(n)
-    proved = [False] * len(targets)
+    proved = bytearray(len(targets))
     table, memo, shapes = Table(), {}, {}
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
         path = log_path(cache_dir, m)
         from_log, rejected = _read(_log_lines(path), targets, rho, proved, table, memo, shapes)
         shared = len(memo)
-        lines = len(table.ends) - 1
         from_files = 0
         # a directory with no legacy file, like a cold one, skips the lookups
         if not all(proved) and _has_legacy_files(cache_dir, m):
@@ -682,14 +676,13 @@ def verify_saxl(m, cache_dir=None, budget_nodes=DEFAULT_NODE_BUDGET, threads=1):
                 ok, msg = verify_certificate(cert, memo=memo, shapes=shapes)
                 if not ok:
                     raise AssertionError("bad certificate for %s: %s" % (nu, msg))
-                proved[i] = True
+                proved[i] = 1
                 fresh += 1
                 if cache_dir is not None:
                     if fd is None:
                         fd, lead = _open_log(path)
                         stack.callback(os.close, fd)
-                    lines += 1
-                    line = lead + cert.to_json(table, lines).encode() + b"\n"
+                    line = lead + cert.to_json(table).encode() + b"\n"
                     if os.write(fd, line) != len(line):
                         raise OSError("short write to %s" % path)
                     lead = b""

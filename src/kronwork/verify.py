@@ -100,12 +100,6 @@ def verify_certificate(cert, memo=None, shapes=None):
     This is sound because the dict holds the factor, so its id is not
     reused, and a tuple of ints does not change.  Without one, each call
     keeps its own.
-
-    The saxl driver keeps one table, one memo and one shapes dict for the
-    whole log and the certificates it proves and appends, and others for
-    the legacy one-file-per-target files.  The factors are a few objects
-    (41 distinct ones for the 9,510 factor entries of the m=7 log: rho_m
-    and its pieces).
     """
     if not isinstance(cert, Certificate):
         return False, "the root is a %s, not a certificate" % type(cert).__name__

@@ -547,7 +547,7 @@ def test_decoding_with_a_table_shares_equal_subtrees_only():
 
     def read(text):
         # text as the next line of the table's log
-        return ct.Certificate.from_json(text, table, len(table.ends))
+        return ct.Certificate.from_json(text, table)
 
     a = read(wrap(leaf))
     b = read(wrap(leaf))
@@ -598,7 +598,7 @@ def test_a_log_line_decodes_and_fails_as_with_the_plain_decoder(monkeypatch, tex
     # another message)
     def outcome():
         out = []
-        for args in ((text,), (text, ct.Table(), 1), (text.encode(),)):
+        for args in ((text,), (text, ct.Table()), (text.encode(),)):
             try:
                 out.append(ct.Certificate.from_json(*args).to_json())
             except ct.DECODE_ERRORS as e:
@@ -622,7 +622,7 @@ def test_interning_shares_the_nodes_of_a_log_by_their_whole_content():
         return ct.Certificate("Conjugate", child.goal, (child,), {"coords": []})
 
     table = ct.Table()
-    read = ct.Certificate.from_json(wrap(leaf()).to_json(), table, 1)
+    read = ct.Certificate.from_json(wrap(leaf()).to_json(), table)
     fresh = ct.combine_h(wrap(wrap(leaf())), leaf(2.0))
     shared = table.intern(fresh)
     assert shared == fresh and shared is not fresh
@@ -633,6 +633,44 @@ def test_interning_shares_the_nodes_of_a_log_by_their_whole_content():
     assert outer.meta is outer.children[0].meta
     again = table.intern(fresh)
     assert again.children[0] is outer and again.children[1] is other
-    text = shared.to_json(table, 2)
+    text = shared.to_json(table)
     assert json.loads(text)["children"][0]["children"][0]["children"] == [[1, 0]]
-    assert ct.Certificate.from_json(text, table, 2).to_json() == fresh.to_json()
+    assert ct.Certificate.from_json(text, table).to_json() == fresh.to_json()
+
+
+def test_the_lines_a_table_writes_follow_the_lines_it_read():
+    # a log of three lines whose last one is cut: the two lines written next
+    # are lines 4 and 5, a node the first holds in full is [4, i] in the
+    # second, and a fresh read of the whole file gives back every line
+    def wrap(child):
+        return ct.Certificate("Conjugate", child.goal, (child,), {"coords": []})
+
+    read = [wrap(ct.base_dominance(3, (3, 2, 1))), wrap(ct.base_dominance(3, (4, 1, 1)))]
+    cut = wrap(ct.base_dominance(3, (3, 3))).to_json()[:30]
+    log = "".join(c.to_json() + "\n" for c in read) + cut
+    table = ct.Table()
+    decoded = [ct.Certificate.from_json(line, table) for line in log.split("\n")[:-1]]
+    with pytest.raises(ValueError):
+        ct.Certificate.from_json(cut, table)
+    sub = wrap(ct.base_dominance(3, (4, 2)))
+    first = ct.combine_h(sub, decoded[0].children[0])
+    second = wrap(wrap(sub))
+    texts = [first.to_json(table), second.to_json(table)]
+    assert json.loads(texts[0])["children"] == [json.loads(sub.to_json()), [1, 0]]
+    assert json.loads(texts[1])["children"][0]["children"] == [[4, 1]]
+    fresh, got = ct.Table(), []
+    for line in (log + "\n" + "\n".join(texts)).split("\n"):
+        try:
+            got.append(ct.Certificate.from_json(line, fresh))
+        except ct.DECODE_ERRORS:
+            got.append(None)
+    assert got == read + [None, first, second]
+
+
+def test_decoded_nodes_with_equal_metas_hold_one_meta():
+    pair = ct.combine_h(ct.base_dominance(2, (2, 1)), ct.base_dominance(2, (3,)))
+    table = ct.Table()
+    a, b = ct.Certificate.from_json(pair.to_json(), table).children
+    line = ct.conjugate_cert(ct.base_dominance(2, (1, 1, 1)), ()).to_json()
+    (c,) = ct.Certificate.from_json(line, table).children
+    assert a.meta == {"m": 2} and a.meta is b.meta is c.meta

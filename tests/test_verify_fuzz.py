@@ -163,7 +163,7 @@ def _has_list_child(doc):
 
 def _next_line(table, text):
     """text decoded as the next line of the log that table reads."""
-    return Certificate.from_json(text, table, len(table.ends))
+    return Certificate.from_json(text, table)
 
 
 def check_verifier(doc):
@@ -297,10 +297,10 @@ def test_one_table_and_memo_give_the_verdicts_of_independent_verification(data):
             assert shared.to_json() == alone.to_json()
             verdict = verify_certificate(alone)
             assert verify_certificate(shared, memo=memo, shapes=shapes) == verdict
-            lines.append((alone.to_json(writer, len(lines) + 1), alone.to_json(), verdict))
+            lines.append((alone.to_json(writer), alone.to_json(), verdict))
     reader, memo, shapes = Table(), {}, {}
-    for number, (text, want, verdict) in enumerate(lines, 1):
-        cert = Certificate.from_json(text, reader, number)
+    for text, want, verdict in lines:
+        cert = Certificate.from_json(text, reader)
         assert cert.to_json() == want
         assert verify_certificate(cert, memo=memo, shapes=shapes) == verdict
 

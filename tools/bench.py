@@ -13,10 +13,12 @@ that fit in S seconds; the file keeps, for each metric, those N values in
 seed order and their median, quartiles (inclusive method) and count, and the
 per-layer metrics of the traced run.  It also keeps the failed and attempted
 item counts, the git revision, the Python version and the number of
-processors.  A CLI case is a cold ``kronwork saxl`` into a fresh temporary
-cache, timed from outside; the file keeps its wall times and the peak RSS
-of the child process in the same form, the sha256 of the logs it wrote, and
-whether every report was complete.
+processors.  A CLI case is a ``kronwork saxl`` into a fresh temporary cache,
+timed from outside: a cold run, or a warm rerun over the log of an untimed
+cold run.  The file keeps its wall times and the peak RSS of the child
+process in the same form, the sha256 of the logs after the timed runs (and,
+for a warm case, before them: a warm rerun appends nothing, so the two
+agree), and whether every report was complete.
 
 With ``--against REV``, REV is checked out into a temporary git worktree,
 removed at the end, and every run is made once in each checkout: the two
@@ -39,10 +41,12 @@ import time
 
 ROOT = os.getcwd()
 
-# name -> the arguments of a cold `kronwork saxl` run through the CLI
+# name -> the arguments of a `kronwork saxl` run through the CLI, and whether
+# the timed run is a warm rerun over the log of an untimed cold run
 CLI_CASES = {
-    "saxl-cold-m8-cli": ["--m", "8", "--threads", "1"],
-    "saxl-cold-m9-cli": ["--m", "9", "--threads", "1"],
+    "saxl-cold-m8-cli": (["--m", "8", "--threads", "1"], False),
+    "saxl-cold-m9-cli": (["--m", "9", "--threads", "1"], False),
+    "saxl-warm-m9-cli": (["--m", "9", "--threads", "1"], True),
 }
 
 
@@ -56,16 +60,28 @@ def perfbench(root, workload, seed, seconds, trace):
     return json.loads(out[-2]), json.loads(out[-1])
 
 
-def cli_case(root, args):
-    """One cold `kronwork saxl ARGS` of the checkout, through the CLI into a
-    fresh temporary cache: its wall time, the child's peak RSS in MB, the
-    sha256 of the log and whether the report says complete."""
+def sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def cli_case(root, args, warm):
+    """One `kronwork saxl ARGS` of the checkout, through the CLI into a
+    fresh temporary cache, after an untimed cold run into it when warm: its
+    wall time, the child's peak RSS in MB, the sha256 of the log after it
+    (and before it, when warm) and whether the report says complete."""
     m = args[args.index("--m") + 1]
     cmd = [sys.executable, "-m", "kronwork.cli", "saxl"] + args
-    print("%s: kronwork %s" % (root, " ".join(cmd[3:])), file=sys.stderr, flush=True)
+    print("%s: kronwork %s%s" % (root, " ".join(cmd[3:]), " (warm)" if warm else ""),
+          file=sys.stderr, flush=True)
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     with tempfile.TemporaryDirectory(prefix="bench-saxl-") as tmp:
         cache, report = os.path.join(tmp, "cache"), os.path.join(tmp, "report.json")
+        log, before = os.path.join(cache, "m%s.jsonl" % m), {}
+        if warm:
+            subprocess.run(cmd + ["--cache", cache], cwd=root, env=env, check=True,
+                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            before = {"log_sha256_before": sha256(log)}
         with open(report, "wb") as out:
             start = time.perf_counter()
             proc = subprocess.Popen(cmd + ["--cache", cache], cwd=root, env=env,
@@ -76,12 +92,10 @@ def cli_case(root, args):
         proc.returncode = os.waitstatus_to_exitcode(status)
         if proc.returncode:
             raise subprocess.CalledProcessError(proc.returncode, cmd)
-        with open(os.path.join(cache, "m%s.jsonl" % m), "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
         with open(report) as fh:
             complete = json.load(fh)["complete"]
-    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0, "log_sha256": digest,
-            "complete": complete}
+        return dict(before, wall_s=wall, peak_rss_mb=usage.ru_maxrss / 1024.0,
+                    log_sha256=sha256(log), complete=complete)
 
 
 def summary(values):
@@ -106,7 +120,7 @@ def bench(roots, runs, seconds):
         for name, n in runs.items():
             for root in in_turn(roots, seed - 1) if seed <= n else ():
                 done[root][name].append(
-                    cli_case(root, CLI_CASES[name]) if name in CLI_CASES
+                    cli_case(root, *CLI_CASES[name]) if name in CLI_CASES
                     else perfbench(root, name, seed, seconds, 0)[1])
     traced = {root: {} for root in roots}
     for name in runs:
@@ -117,14 +131,20 @@ def bench(roots, runs, seconds):
         doc, manifest = {"workloads": {}, "cli": {}}, None
         for name, results in done[root].items():
             if name in CLI_CASES:
-                doc["cli"][name] = {
-                    "command": "kronwork saxl %s --cache EMPTY_DIR" % " ".join(CLI_CASES[name]),
+                args, warm = CLI_CASES[name]
+                doc["cli"][name] = case = {
+                    "command": "kronwork saxl %s --cache %s" % (
+                        " ".join(args), "DIR, after an untimed cold run into DIR" if warm
+                        else "EMPTY_DIR"),
                     "wall_s": dict(summary([r["wall_s"] for r in results]), unit="s"),
                     "peak_rss_mb": dict(summary([r["peak_rss_mb"] for r in results]),
                                         unit="MB"),
                     "log_sha256": sorted({r["log_sha256"] for r in results}),
                     "complete": all(r["complete"] for r in results),
                 }
+                if warm:
+                    case["log_sha256_before"] = sorted({r["log_sha256_before"]
+                                                        for r in results})
                 continue
             report, layers = traced[root][name]
             manifest = manifest or report["manifest"]
