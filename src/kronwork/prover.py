@@ -68,27 +68,33 @@ def _staircase_leaf(m, nu):
 def prove_in_staircase_square(m, nu, budget=None):
     """Find a certificate for (nu; rho_m, rho_m), or None.
 
-    Search order: the dominance and hook leaves; the 2x2 grid split with
-    nu's columns dealt greedily, then cyclically (`deal_grid`); packing
-    the columns of nu, with backtracking, into the pieces of each split of
-    `_split_recipes`, proving stubborn pieces recursively; a conjugate
-    retry, which runs this whole search on the conjugate of nu; the
-    oracle, when the size is at most `DEFAULT_ORACLE_CEILING`; and the
-    chunk search, which peels oracle-sized pieces off all three
-    coordinates.
+    The search runs in two levels, the target and the pieces of its pack
+    layouts, and each level runs the same staircase steps on nu and then on
+    its conjugate nu': the dominance and hook leaves; the 2x2 grid split
+    with the columns dealt greedily, then cyclically (`deal_grid`); and
+    packing the columns, with backtracking, into the pieces of each split
+    of `_split_recipes`, until the budget runs out.  Only at the top does
+    a failed packing keep near misses, which it retries with their stubborn
+    pieces proved at the piece level.  After the steps on nu' come the
+    oracle on (nu'; rho_m, rho_m), when the size is at most
+    `DEFAULT_ORACLE_CEILING`, and at the top the chunk search on that goal,
+    which peels oracle-sized pieces off all three coordinates.  What is
+    found for nu' is conjugated back.  rho_m is self-conjugate, so
+    g(nu'; rho_m, rho_m) = g(nu; rho_m, rho_m), and the oracle is asked
+    about nu' only.
 
     `budget` bounds the pack search only.  The leaves and the two dealt
     grids are checks on a fixed assignment and cost no nodes, and the
     chunk search runs on its own Budget(60000), so even Budget(0) can
-    return a certificate: (9,7,6,5,2,2,2,2,1) at m = 8 gets one of oracle
-    leaves.
+    return a certificate: (9,7,6,5,2,2,2,2,1) at m = 8 gets a `Conjugate`
+    of oracle leaves.
     """
     nu = pt.check_partition(nu)
     if pt.size(nu) != pt.triangular(m):
         raise ValueError("nu must have size m(m+1)/2")
     if budget is None:
         budget = Budget()
-    cert = _prove(m, nu, budget, depth=2, allow_flip=True)
+    cert = _prove(m, nu, budget, top=True)
     if cert is not None:
         rho = pt.staircase(m)
         if cert.goal != (nu, rho, rho):
@@ -96,33 +102,34 @@ def prove_in_staircase_square(m, nu, budget=None):
     return cert
 
 
-def _prove(m, nu, budget, depth, allow_flip):
-    cert = _staircase_leaf(m, nu)
+def _prove(m, nu, budget, top):
+    """The cascade on (nu; rho_m, rho_m): the staircase steps on nu, then on
+    its conjugate, then the oracle and, at the top, the chunk search on the
+    conjugate.  top is False for a piece of a pack layout."""
+    cert = _staircase_steps(m, nu, budget, top)
     if cert is not None:
         return cert
+    rho = pt.staircase(m)
+    goal = (pt.conjugate(nu), rho, rho)
+    cert = (_staircase_steps(m, goal[0], budget, top) or _oracle_leaf(goal)
+            or top and _chunk_search(goal, Budget(60000)))
+    return conjugate_cert(cert, (0, 1)) if cert else None
+
+
+def _staircase_steps(m, nu, budget, top):
+    """The leaf, the dealt grids, then the pack search over each layout
+    until the budget runs out."""
+    cert = _staircase_leaf(m, nu)
     cols = pt.conjugate(nu)
     for deal in DEALINGS.values():
-        cert = deal_grid(m, cols, deal)
-        if cert is not None:
-            return cert
+        cert = cert or deal_grid(m, cols, deal)
     for layout in _pack_layouts(m):
-        cert = _pack_search(m, cols, layout, budget, depth)
         if cert is not None:
-            return cert
+            break
+        cert = _pack_search(m, cols, layout, budget, top)
         if budget.exhausted:
             break
-    if allow_flip:
-        flipped = _prove(m, cols, budget, depth, False)
-        if flipped is not None:
-            return conjugate_cert(flipped, (0, 1))
-    rho = pt.staircase(m)
-    goal = (nu, rho, rho)
-    cert = _oracle_leaf(goal)
-    if cert is not None:
-        return cert
-    if depth >= 2:
-        return _chunk_search(goal, Budget(60000))
-    return None
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +201,7 @@ def _deal_cyclic(cols, caps):
     return bins
 
 
-# the dealing of each measure's column split, in the order `_prove` tries them
+# the dealing of each measure's column split, in the order the cascade tries them
 DEALINGS = {"uniform": _deal_greedy, "plancherel": _deal_cyclic}
 
 
@@ -265,21 +272,21 @@ def _pack_layouts(m):
     return tuple(layouts)
 
 
-def _pack_search(m, cols, layout, budget, depth):
+def _pack_search(m, cols, layout, budget, top):
     """Pack the columns `cols` of the target into the pieces of one layout of
-    `_pack_layouts(m)`."""
+    `_pack_layouts(m)`, each piece a staircase leaf.  At the top, up to 64
+    packings with at most two pieces short of a leaf are kept, and once the
+    packing fails they are tried again with those pieces proved at the
+    piece level, `_prove` with top False."""
     _, flat, caps = layout
     bins = [[] for _ in flat]
     remaining = list(caps)
     failed = set()
     stash = []
 
-    def finish(bins, recurse):
-        if recurse:
-            return _assemble(m, cols, layout, enumerate(bins),
-                             lambda b, lam: _prove(flat[b], lam, budget, depth - 1, True))
+    def finish(bins):
         cert = _assemble(m, cols, layout, enumerate(bins))
-        if cert is None and len(stash) < 64 and sum(
+        if cert is None and top and len(stash) < 64 and sum(
                 _staircase_leaf(side, pt.from_columns(piece)) is None
                 for side, piece in zip(flat, bins) if side) <= 2:
             stash.append([list(b) for b in bins])
@@ -289,7 +296,7 @@ def _pack_search(m, cols, layout, budget, depth):
         if not budget.spend():
             return "stop"
         if idx == len(cols):
-            return finish(bins, recurse=False)
+            return finish(bins)
         key = (idx, tuple(remaining))
         if key in failed:
             return None
@@ -320,13 +327,13 @@ def _pack_search(m, cols, layout, budget, depth):
     del rec
     if isinstance(out, Certificate):
         return out
-    if depth > 0:
-        for bins_snapshot in stash:
-            cert = finish(bins_snapshot, recurse=True)
-            if cert is not None:
-                return cert
-            if budget.exhausted:
-                break
+    for pieces in stash:
+        cert = _assemble(m, cols, layout, enumerate(pieces),
+                         lambda b, lam: _prove(flat[b], lam, budget, top=False))
+        if cert is not None:
+            return cert
+        if budget.exhausted:
+            break
     return None
 
 

@@ -107,6 +107,13 @@ def test_kronecker_is_symmetric_in_its_factors():
                 g = ch.kronecker(lam, mu, nu)
                 assert g == ch.kronecker(mu, lam, nu) == ch.kronecker(nu, mu, lam)
                 assert g == ch.kronecker(lam, pt.conjugate(mu), pt.conjugate(nu))
+    # rho_m is self-conjugate, so conjugating the first factor alone keeps
+    # the coefficient of (nu; rho_m, rho_m): the prover's oracle asks about
+    # nu' only
+    for m in range(1, 5):
+        rho = pt.staircase(m)
+        for nu in pt.partitions_of(pt.triangular(m)):
+            assert ch.kronecker(pt.conjugate(nu), rho, rho) == ch.kronecker(nu, rho, rho)
 
 
 def test_multi_kronecker_four_factors():

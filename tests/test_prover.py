@@ -184,6 +184,18 @@ def test_small_targets_need_neither_tree_nor_chunk_search(monkeypatch):
             assert cert is not None and verify_certificate(cert)[0], nu
 
 
+def test_a_target_the_cascade_fails_costs_one_chunk_search(monkeypatch):
+    # (16,2,1^37) is one of the m = 10 targets no step proves; the chunk
+    # search runs once, on the conjugate, and not again on nu itself
+    goals = []
+    search = prover._chunk_search
+    monkeypatch.setattr(prover, "_chunk_search",
+                        lambda goal, budget: goals.append(goal) or search(goal, budget))
+    rho = pt.staircase(10)
+    assert prove_in_staircase_square(10, (16, 2) + (1,) * 37) is None
+    assert goals == [((39, 2) + (1,) * 14, rho, rho)]
+
+
 @pytest.mark.parametrize("i", [6, 27])
 def test_dealt_grid_proves_plancherel_draws_the_pack_search_misses(i):
     # the pack search spends the whole default budget on these m = 20 draws

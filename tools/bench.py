@@ -13,7 +13,11 @@ that fit in S seconds; the file keeps, for each metric, those N values in
 seed order and their median, quartiles (inclusive method) and count, and the
 per-layer metrics of the traced run.  It also keeps the failed and attempted
 item counts, the git revision, the Python version and the number of
-processors.  A CLI case is a ``kronwork saxl`` into a fresh temporary cache,
+processors.  The revision is that of the checkout's HEAD, so beside it
+``src_uncommitted`` says whether ``git status --porcelain
+--untracked-files=no -- src`` listed any change when the runs began: a
+checkout with uncommitted changes under src/ runs code that its revision
+does not name.  A CLI case is a ``kronwork saxl`` into a fresh temporary cache,
 timed from outside: a cold run, or a warm rerun over the log of an untimed
 cold run.  The file keeps its wall times and the peak RSS of the child
 process in the same form, the sha256 of the logs after the timed runs (and,
@@ -25,7 +29,8 @@ removed at the end, and every run is made once in each checkout: the two
 sides alternate run by run, the one of REV going first in the runs of odd
 seeds and in the traced runs, this checkout in the others.  The file then keeps REV's numbers
 under "against", in the same form, so that run i of one side pairs with run
-i of the other.
+i of the other.  REV's worktree is checked out clean, so its
+``src_uncommitted`` is false.
 """
 
 import argparse
@@ -192,6 +197,7 @@ def main(argv=None):
     if min(runs.values()) < 1:
         ap.error("every workload and CLI case needs at least 1 run")
     roots, against = [ROOT], None
+    dirty = git("status", "--porcelain", "--untracked-files=no", "--", "src")
     with tempfile.TemporaryDirectory(prefix="bench-against-") as tmp:
         if args.against is not None:
             against = git("rev-parse", "--verify", args.against + "^{commit}")
@@ -212,6 +218,7 @@ def main(argv=None):
     out = {
         "label": args.label,
         "git_revision": manifest["git_revision"],
+        "src_uncommitted": bool(dirty),
         "python": manifest["python"],
         "nproc": manifest["nproc"],
         "cpus_usable": manifest["cpus_usable"],
@@ -221,7 +228,7 @@ def main(argv=None):
     }
     if against is not None:
         other, _ = docs[tree]
-        out["against"] = dict(other, git_revision=against)
+        out["against"] = dict(other, git_revision=against, src_uncommitted=False)
     path = os.path.join(ROOT, "BENCH_%s.json" % args.label)
     with open(path, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
