@@ -26,7 +26,7 @@ from .verify import verify_certificate
 
 DEFAULT_NODE_BUDGET = 100000
 
-# entries kept by each search cache (oracle leaves, splits)
+# entries kept by each search cache (oracle leaves, piece leaves, splits)
 _CACHE_SIZE = 200000
 
 # targets handed to a saxl pool worker at a time
@@ -57,12 +57,35 @@ def _oracle_leaf(goal):
     return _cached_oracle(goal)
 
 
-_cached_oracle = lru_cache(maxsize=_CACHE_SIZE)(base_oracle)
+@lru_cache(maxsize=_CACHE_SIZE)
+def _cached_oracle(goal):
+    """`base_oracle(goal)` for a 3-factor goal, or None at once when
+    Dvir's bound rules it out (`_dvir_zero`)."""
+    return None if _dvir_zero(goal) else base_oracle(goal)
+
+
+def _dvir_zero(goal):
+    """Whether Dvir's bound makes g(lam; mu, nu) zero: a nonzero
+    coefficient has len(lam) <= |mu & nu'|, the size of the intersection of
+    the diagrams of mu and of the conjugate of nu (Y. Dvir, On the
+    Kronecker product of S_n characters, J. Algebra 154, 1993).  It needs
+    no character arithmetic, and it turns away most zero goals: 478 of
+    the 516 that a cold m = 6 run meets."""
+    lam, mu, nu = goal
+    return len(lam) > sum(map(min, mu, pt.conjugate(nu)))
 
 
 def _staircase_leaf(m, nu):
     """The dominance leaf for (nu; rho_m, rho_m), else the hook leaf, or None."""
     return base_dominance(m, nu) or base_hook(m, nu)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _piece_leaf(side, cols):
+    """The staircase leaf of the piece of side `side` whose columns are the
+    tuple cols, or None.  The packings of a search share few pieces, so
+    each one is built and checked once."""
+    return _staircase_leaf(side, pt.from_columns(cols))
 
 
 def prove_in_staircase_square(m, nu, budget=None):
@@ -229,8 +252,8 @@ def _assemble(m, cols, layout, pieces, prove=None):
     certs = [None] * len(sides)
     for b, piece in pieces:
         if sides[b] or piece:
-            lam = pt.from_columns(piece)
-            certs[b] = _staircase_leaf(sides[b], lam) or (prove and prove(b, lam))
+            certs[b] = (_piece_leaf(sides[b], tuple(piece))
+                        or (prove and prove(b, pt.from_columns(piece))))
             if certs[b] is None:
                 return None
     cert = fold_certs(recipe, certs)
@@ -287,7 +310,7 @@ def _pack_search(m, cols, layout, budget, top):
     def finish(bins):
         cert = _assemble(m, cols, layout, enumerate(bins))
         if cert is None and top and len(stash) < 64 and sum(
-                _staircase_leaf(side, pt.from_columns(piece)) is None
+                _piece_leaf(side, tuple(piece)) is None
                 for side, piece in zip(flat, bins) if side) <= 2:
             stash.append([list(b) for b in bins])
         return cert
@@ -437,9 +460,11 @@ def _chunk_search(goal, budget):
     oracle leaf, which is most often zero; the piece by its oracle leaf;
     and a bigger rest by this search.  A pair is taken only when every
     check passes, so the order of the checks changes neither the first
-    pair taken nor its certificate, nor the nodes charged.  What depends
-    only on the first coordinate's split, or on the second's, is worked
-    out once for it.
+    pair taken nor its certificate, nor the nodes charged.  The second and
+    third coordinates' splits depend only on the pattern and the size, so
+    they are looked up once for both, before the first coordinate's, and a
+    size where either has none is skipped; what depends only on the first
+    coordinate's split is worked out once for it.
     """
     memo = set()
 
@@ -452,14 +477,17 @@ def _chunk_search(goal, budget):
         for vertical in _VERTICAL_PATTERNS:
             v0, v1, v2 = (c in vertical for c in range(3))
             for t in range(min(DEFAULT_ORACLE_CEILING, n - 1), 0, -1):
+                splits1 = _coord_splits(goal[1], t, v1)
+                splits2 = _coord_splits(goal[2], t, v2)
+                if not (splits1 and splits2):
+                    continue
                 leaf_sized = n - t <= DEFAULT_ORACLE_CEILING
                 for p0, c0 in _coord_splits(goal[0], t, v0):
                     # one-row and one-column pieces pair up by the trivial
                     # and sign characters, skip the oracle
                     one_row = p0 == (t,)
                     one_col = not one_row and t > 1 and p0 == (1,) * t
-                    splits2 = _coord_splits(goal[2], t, v2)
-                    for p1, c1 in _coord_splits(goal[1], t, v1):
+                    for p1, c1 in splits1:
                         want = p1 if one_row else pt.conjugate(p1) if one_col else None
                         for p2, c2 in splits2:
                             if not budget.spend():

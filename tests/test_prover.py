@@ -24,6 +24,7 @@ from kronwork.prover import (
 from kronwork.certificates import (
     Certificate,
     base_dominance,
+    base_oracle,
     combine_h,
     combine_vvh,
     fold_certs,
@@ -833,6 +834,13 @@ def test_chunk_search_matches_the_piece_first_order(monkeypatch):
             prove_in_staircase_square(m, nu)
     monkeypatch.setattr(prover, "_chunk_search", search)
     assert len(goals) > 50
+    # and the three chunk searches of a cold m = 8 run that charge the most
+    # nodes (43,494 to 49,750), where the second and third coordinates'
+    # split lists, looked up once per pattern and size, are long
+    rho = pt.staircase(8)
+    goals += [(first, rho, rho) for first in ((12, 5, 4, 4) + (1,) * 11,
+                                              (11, 7, 4, 2) + (1,) * 12,
+                                              (12, 4, 4, 4) + (1,) * 12)]
 
     # the oracle lookups made at each node, while its pair is the latest
     pairs = []
@@ -874,6 +882,29 @@ def test_chunk_search_matches_the_piece_first_order(monkeypatch):
         assert budget.nodes == ref_budget.nodes, goal
     # the reference looks up pieces whose rest already rules the pair out
     assert skipped > 0 and wasted > 0
+
+
+def _triples(n):
+    parts = pt.partitions_of(n)
+    return ((a, b, c) for a in parts for b in parts for c in parts)
+
+
+def test_dvir_bound_turns_away_only_zero_coefficients():
+    # g(lam; mu, nu) != 0 needs len(lam) <= |mu & nu'| (Dvir, 1993)
+    seen = away = 0
+    for n in range(1, 10):
+        for goal in _triples(n):
+            seen += 1
+            if prover._dvir_zero(goal):
+                away += 1
+                assert ch.multi_kronecker(goal) == 0, goal
+    assert seen == 42858 and away > 0
+
+
+def test_cached_oracle_gives_the_leaf_of_the_plain_oracle():
+    for n in range(1, 7):
+        for goal in _triples(n):
+            assert prover._cached_oracle(goal) == base_oracle(goal), goal
 
 
 def _first_repeated_subtree(docs):

@@ -49,6 +49,7 @@ ROOT = os.getcwd()
 # name -> the arguments of a `kronwork saxl` run through the CLI, and whether
 # the timed run is a warm rerun over the log of an untimed cold run
 CLI_CASES = {
+    "saxl-cold-m7-cli": (["--m", "7", "--threads", "1"], False),
     "saxl-cold-m8-cli": (["--m", "8", "--threads", "1"], False),
     "saxl-cold-m9-cli": (["--m", "9", "--threads", "1"], False),
     "saxl-warm-m9-cli": (["--m", "9", "--threads", "1"], True),
