@@ -533,12 +533,6 @@ def log_path(cache_dir, m):
     return os.path.join(cache_dir, "m%d.jsonl" % m)
 
 
-def cache_path(cache_dir, m, nu):
-    """Where the legacy layout, one file per target, keeps the certificate
-    of nu inside the square of rho_m."""
-    return os.path.join(cache_dir, "m%d_%s.json" % (m, "-".join(map(str, nu)) or "0"))
-
-
 def _find(targets, nu, start):
     """The index of nu in targets, which are in reverse lex order, so
     strictly decreasing as tuples, or None.  Index start is tried first: a
@@ -555,81 +549,53 @@ def _find(targets, nu, start):
     return lo if lo < len(targets) and targets[lo] == nu else None
 
 
-def _read(entries, targets, rho, proved, table, memo, shapes):
-    """Set proved[i] for each target targets[i] that an entry proves.
-    entries yields (path, number, text): the text at line `number` of the
-    file at path, which is decoded as the next line of table.  Returns the
-    number of targets proved and the rejected entries by reason.
+def _read(path, targets, rho, proved, table, memo, shapes):
+    """Set proved[i] for each target targets[i] that a line of the log at
+    path proves, reading it a line at a time; a missing log has no lines.
+    Each line is decoded as the next line of table.  Returns the number of
+    targets proved and the rejected lines by reason.
 
-    An entry is a hit when it decodes, proves exactly (nu; rho, rho) for a
-    target nu not yet proved, and verifies.  A later entry for a proved
-    target is skipped unverified; any other entry is a miss, and stderr says
-    why.  A reference to an earlier line of the table resolves to the node
-    decoded there, and the entries are verified over the caller's memo and
-    dict of factor shapes (`verify_certificate`), so a sub-certificate or a
-    factor that recurs across entries, as the staircase pieces do, is one
-    object, checked once; each entry is still verified in full.  The memo
-    then holds each distinct sub-certificate verified, and the table each
-    one decoded, for the caller to check and write its fresh certificates
-    against.
+    A line is a hit when it decodes, proves exactly (nu; rho, rho) for a
+    target nu not yet proved, and verifies.  A later line for a proved
+    target is skipped unverified; any other line is a miss, and stderr says
+    why.  A reference to an earlier line resolves to the node decoded there,
+    and the lines are verified over the caller's memo and dict of factor
+    shapes (`verify_certificate`), so a sub-certificate or a factor that
+    recurs across lines, as the staircase pieces do, is one object, checked
+    once; each line is still verified in full.  The memo then holds each
+    distinct sub-certificate verified, and the table each one decoded, for
+    the caller to check and write its fresh certificates against.
     """
     rejected = {}
     hits = nxt = 0
-    for path, number, text in entries:
-        try:
-            cert = Certificate.from_json(text, table)
-        except DECODE_ERRORS as e:
-            reason, why = "unreadable", "unreadable (%s)" % e
-        else:
-            goal = cert.goal
-            i = _find(targets, goal[0], nxt) if goal[1:] == (rho, rho) else None
-            if i is None:
-                reason, why = "foreign", "it proves %r" % (goal,)
-            elif proved[i]:
-                continue
-            else:
-                nxt = i + 1
-                ok, msg = verify_certificate(cert, memo=memo, shapes=shapes)
-                if ok:
-                    proved[i] = 1
-                    hits += 1
-                    continue
-                reason, why = "invalid", "invalid (%s)" % msg
-        rejected[reason] = rejected.get(reason, 0) + 1
-        print("saxl: skipping %s line %d: %s" % (path, number, why), file=sys.stderr)
-    return hits, rejected
-
-
-def _log_lines(path):
-    """The entries of the log at path for `_read`: each of its lines."""
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
-        return
+        return hits, rejected
     with fh:
-        for number, line in enumerate(fh, 1):
-            yield path, number, line
-
-
-def _legacy_files(cache_dir, m, targets, proved):
-    """The entries of the legacy layout for `_read`: the file of each
-    target not proved when it is reached, in target order, as line 1."""
-    for nu, done in zip(targets, proved):
-        if not done:
-            path = cache_path(cache_dir, m, nu)
+        for number, text in enumerate(fh, 1):
             try:
-                with open(path, "rb") as fh:
-                    text = fh.read()
-            except FileNotFoundError:
-                continue
-            yield path, 1, text
-
-
-def _has_legacy_files(cache_dir, m):
-    """Whether cache_dir holds any legacy file of m."""
-    prefix = "m%d_" % m
-    with os.scandir(cache_dir) as entries:
-        return any(e.name.startswith(prefix) for e in entries)
+                cert = Certificate.from_json(text, table)
+            except DECODE_ERRORS as e:
+                reason, why = "unreadable", "unreadable (%s)" % e
+            else:
+                goal = cert.goal
+                i = _find(targets, goal[0], nxt) if goal[1:] == (rho, rho) else None
+                if i is None:
+                    reason, why = "foreign", "it proves %r" % (goal,)
+                elif proved[i]:
+                    continue
+                else:
+                    nxt = i + 1
+                    ok, msg = verify_certificate(cert, memo=memo, shapes=shapes)
+                    if ok:
+                        proved[i] = 1
+                        hits += 1
+                        continue
+                    reason, why = "invalid", "invalid (%s)" % msg
+            rejected[reason] = rejected.get(reason, 0) + 1
+            print("saxl: skipping %s line %d: %s" % (path, number, why), file=sys.stderr)
+    return hits, rejected
 
 
 def _prove_into(m, nu, budget_nodes):
@@ -650,28 +616,25 @@ def _open_log(path):
 def verify_saxl(m, cache_dir=None, budget_nodes=DEFAULT_NODE_BUDGET, threads=1):
     """Prove every partition of m(m+1)/2 inside the staircase square.
 
-    Returns a report dict.  A cache directory holds the log of m
-    (`log_path`), one certificate per line.  Targets the log does not prove
-    fall back to the legacy layout, one file per target (`cache_path`),
-    which is only read.  `_read` reads both: the log's lines over the log's
-    table, memo and shapes dict, and the legacy files over throwaway ones,
-    each file as its line 1 in the messages.  The targets neither proves
-    are then proved by `_prove_into`, in a pool of at most `threads`
-    processes and at most one per `_CHUNK` misses, or in this process when
-    that is one.  Their certificates come back here in target order, and
-    this process checks each one, with a cache or without: its goal must
-    be exactly (nu; rho_m, rho_m), and it is interned into the log's table
-    (`Table.intern`) and verified over the log's memo and shapes dict, so
-    a sub-certificate that an earlier line or certificate holds is checked
-    once.  A certificate that fails raises an AssertionError that names its
-    target, before any line for it is written.  With a cache, each one is
-    then appended in one write of a whole line, encoded against the table,
-    so neither the report nor the log depends on the thread count, and a
-    killed run loses at most the line being written.  The table and the
-    memo keep each distinct sub-certificate of the run until it ends.
-    Stderr notes the progress every 1000 targets it proves here and, with
-    a cache, ends with a line that sums up where the proofs came from; its
-    rejected lines and distinct sub-certificates are the log read's only.
+    Returns a report dict.  With a cache directory, `_read` reads the log
+    of m there (`log_path`), one certificate per line, over the run's table,
+    memo and shapes dict; no other file there is read.
+    The targets it does not prove are proved by `_prove_into`, in a pool of
+    at most `threads` processes and at most one per `_CHUNK` misses, or in
+    this process when that is one.  Their certificates come back here in
+    target order, and this process checks each one, with a cache or
+    without: its goal must be exactly (nu; rho_m, rho_m), and it is
+    interned into the log's table (`Table.intern`) and verified over the
+    log's memo and shapes dict, so a sub-certificate that an earlier line
+    or certificate holds is checked once.  A certificate that fails raises
+    an AssertionError that names its target, before any line for it is
+    written.  With a cache, each one is then appended in one write of a
+    whole line, encoded against the table, so neither the report nor the
+    log depends on the thread count, and a killed run loses at most the
+    line being written.  The table and the memo keep each distinct
+    sub-certificate of the run until it ends.  Stderr notes the progress
+    every 1000 targets it proves here and, with a cache, ends with a line
+    that sums up where the proofs came from.
     """
     n = pt.triangular(m)
     rho = pt.staircase(m)
@@ -681,13 +644,8 @@ def verify_saxl(m, cache_dir=None, budget_nodes=DEFAULT_NODE_BUDGET, threads=1):
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
         path = log_path(cache_dir, m)
-        from_log, rejected = _read(_log_lines(path), targets, rho, proved, table, memo, shapes)
+        from_log, rejected = _read(path, targets, rho, proved, table, memo, shapes)
         shared = len(memo)
-        from_files = 0
-        # a directory with no legacy file, like a cold one, skips the lookups
-        if not all(proved) and _has_legacy_files(cache_dir, m):
-            from_files = _read(_legacy_files(cache_dir, m, targets, proved),
-                               targets, rho, proved, Table(), {}, {})[0]
     todo = [i for i, ok in enumerate(proved) if not ok]
     jobs = (repeat(m), [targets[i] for i in todo], repeat(budget_nodes))
     workers = min(threads, -(-len(todo) // _CHUNK))
@@ -724,10 +682,10 @@ def verify_saxl(m, cache_dir=None, budget_nodes=DEFAULT_NODE_BUDGET, threads=1):
             if done % 1000 == 0:
                 print("saxl m=%d: %d/%d" % (m, done, len(todo)), file=sys.stderr)
     if cache_dir is not None:
-        print("saxl m=%d cache: %d targets proved from the log, %d from legacy files, "
-              "%d in this run; log lines rejected: %s; distinct sub-certificates "
-              "verified from the log: %d"
-              % (m, from_log, from_files, fresh,
+        print("saxl m=%d cache: %d targets proved from the log, %d in this run; "
+              "log lines rejected: %s; distinct sub-certificates verified from "
+              "the log: %d"
+              % (m, from_log, fresh,
                  ", ".join("%d %s" % (rejected[k], k) for k in sorted(rejected))
                  or "none", shared), file=sys.stderr)
     failures = [pt.format_partition(nu) for nu, ok in zip(targets, proved) if not ok]

@@ -17,7 +17,7 @@ from kronwork import characters as ch
 from kronwork import decomp
 from kronwork import partitions as pt
 from kronwork import samplers as sp
-from kronwork.certificates import Certificate, base_oracle, combine_h, combine_vvh
+from kronwork.certificates import base_oracle, combine_h, combine_vvh
 from kronwork.prover import (
     Budget,
     prove_in_staircase_square,
@@ -60,15 +60,10 @@ def test_saxl_complete_large(m):
 
 
 def test_saxl_square_certificate_proves_its_goal():
-    # the square (6^6) at m = 8, from the cache when it holds the file
+    # the square (6^6) at m = 8, proved here and verified
     square = pt.rectangle(6, 6)
     rho = pt.staircase(8)
-    path = os.path.join(saxl_cache(8), "m8_6-6-6-6-6-6.json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            cert = Certificate.from_json(fh.read())
-    else:
-        cert = prove_in_staircase_square(8, square)
+    cert = prove_in_staircase_square(8, square)
     assert cert is not None and cert.goal == (square, rho, rho)
     ok, msg = verify_certificate(cert)
     assert ok, msg

@@ -276,27 +276,38 @@ def test_rectangle_cube_four_fold_positive_small():
         assert ch.multi_kronecker((rect, rho, rho, rho)) > 0
 
 
-# The two cache layouts: "files", the legacy one certificate file per
-# target, which `verify_saxl` only reads, and "log", one line per certificate.
-LAYOUTS = ("files", "log")
-
-
 def _cert_texts(m):
     return {nu: prove_in_staircase_square(m, nu).to_json()
             for nu in pt.partitions_of(pt.triangular(m))}
 
 
-def _make_cache(cache, m, layout, texts):
-    """A cache of m in the given layout holding texts[nu] for each nu."""
+def _write_log(cache, m, lines):
+    """A new cache directory whose log of m holds lines: bytes as they are,
+    and each str, a certificate's JSON, as one line."""
     cache = str(cache)
     os.makedirs(cache)
-    if layout == "log":
-        with open(prover.log_path(cache, m), "w") as fh:
-            fh.writelines(text + "\n" for text in texts.values())
-    else:
-        for nu, text in texts.items():
-            with open(prover.cache_path(cache, m, nu), "w") as fh:
-                fh.write(text)
+    with open(prover.log_path(cache, m), "wb") as fh:
+        fh.writelines(line if isinstance(line, bytes) else line.encode() + b"\n"
+                      for line in lines)
+    return cache
+
+
+def _summary(m, from_log, fresh, rejected, shared):
+    """The line that ends the stderr of `verify_saxl` over a cache."""
+    return ("saxl m=%d cache: %d targets proved from the log, %d in this run; log "
+            "lines rejected: %s; distinct sub-certificates verified from the log: %d"
+            % (m, from_log, fresh, rejected, shared))
+
+
+def _write_legacy_files(cache, m, texts):
+    """The cache directory, made if need be, with texts[nu] in the file of
+    each nu in the layout of earlier versions, m<m>_<rows joined by ->.json,
+    which `verify_saxl` does not read."""
+    cache = str(cache)
+    os.makedirs(cache, exist_ok=True)
+    for nu, text in texts.items():
+        with open(os.path.join(cache, "m%d_%s.json" % (m, "-".join(map(str, nu)))), "w") as fh:
+            fh.write(text)
     return cache
 
 
@@ -310,8 +321,8 @@ def _contents(cache):
 
 def _rerun(cache, m, **kw):
     """verify_saxl over cache, which must report as a run without one does,
-    leave every legacy file as it was and only append to the log.  Returns
-    the goals of the appended lines, each of which verifies."""
+    leave every file but the log as it was and only append to the log.
+    Returns the goals of the appended lines, each of which verifies."""
     log = os.path.basename(prover.log_path(cache, m))
     before = _contents(cache)
     old = before.pop(log, b"")
@@ -388,8 +399,8 @@ def test_verify_saxl_proves_one_chunk_of_misses_without_a_pool(monkeypatch):
 
 
 def test_verify_saxl_creates_the_cache_directory_once(tmp_path, monkeypatch):
-    legacy = _make_cache(tmp_path / "legacy", 3, "files", _cert_texts(3))
-    names = sorted(os.listdir(legacy))
+    legacy = _write_legacy_files(tmp_path / "legacy", 3, _cert_texts(3))
+    files = _contents(legacy)
     made = []
     makedirs = os.makedirs
     monkeypatch.setattr(os, "makedirs", lambda *a, **kw: made.append(a) or makedirs(*a, **kw))
@@ -399,10 +410,14 @@ def test_verify_saxl_creates_the_cache_directory_once(tmp_path, monkeypatch):
     assert os.listdir(cache) == ["m3.jsonl"]
     with open(prover.log_path(cache, 3)) as fh:
         assert len(fh.readlines()) == pt.partition_count(6)
-    # a complete legacy directory is only read: no log is created
+    # a directory of per-target files is not read: its targets are proved
+    # again into a new log, and the files are left as they were
     assert verify_saxl(3, cache_dir=legacy)["complete"]
     assert made == [(cache,), (legacy,)]
-    assert sorted(os.listdir(legacy)) == names
+    after = _contents(legacy)
+    with open(prover.log_path(cache, 3), "rb") as fh:
+        assert after.pop("m3.jsonl") == fh.read()
+    assert after == files
 
 
 def test_verify_saxl_reproves_foreign_cache_entries(tmp_path):
@@ -418,11 +433,9 @@ def test_verify_saxl_reproves_foreign_cache_entries(tmp_path):
              (_cert_texts(3)[pt.staircase(3)], list(texts)),
              (trivial.to_json(), list(texts))]
     for case, (text, want) in enumerate(cases):
-        for layout in LAYOUTS:
-            cache = _make_cache(tmp_path / ("%s%d" % (layout, case)), 4, layout,
-                                dict.fromkeys(texts, text))
-            assert _rerun(cache, 4) == _goals(want, 4), (case, layout)
-            assert _rerun(cache, 4) == []
+        cache = _write_log(tmp_path / ("m4-%d" % case), 4, [text] * len(texts))
+        assert _rerun(cache, 4) == _goals(want, 4), case
+        assert _rerun(cache, 4) == []
 
 
 def test_verify_saxl_counts_only_matching_goals(tmp_path, monkeypatch):
@@ -433,18 +446,15 @@ def test_verify_saxl_counts_only_matching_goals(tmp_path, monkeypatch):
     fail = {nu for nu in list(texts)[1::3] if nu != stair}
     _fail_to_prove(monkeypatch, fail)
     assert not verify_saxl(4)["complete"]
-    for layout in LAYOUTS:
-        cache = _make_cache(tmp_path / layout, 4, layout, dict.fromkeys(texts, texts[stair]))
-        assert _rerun(cache, 4) == _goals([nu for nu in texts
-                                           if nu not in fail and nu != stair], 4), layout
+    cache = _write_log(tmp_path / "m4", 4, [texts[stair]] * len(texts))
+    assert _rerun(cache, 4) == _goals([nu for nu in texts if nu not in fail and nu != stair], 4)
 
 
 def test_verify_saxl_reproves_truncated_cache_entries(tmp_path):
     texts = _cert_texts(3)
     cut = {nu: text[: len(text) // 2] for nu, text in texts.items()}
-    for layout in LAYOUTS:
-        cache = _make_cache(tmp_path / layout, 3, layout, cut)
-        assert _rerun(cache, 3) == _goals(texts, 3), layout
+    cache = _write_log(tmp_path / "m3", 3, cut.values())
+    assert _rerun(cache, 3) == _goals(texts, 3)
 
 
 @pytest.mark.parametrize("text", [
@@ -453,9 +463,8 @@ def test_verify_saxl_reproves_truncated_cache_entries(tmp_path):
 ], ids=["int-goal", "deep-nesting"])
 def test_verify_saxl_reproves_undecodable_cache_entries(tmp_path, text):
     texts = _cert_texts(3)
-    for layout in LAYOUTS:
-        cache = _make_cache(tmp_path / layout, 3, layout, dict.fromkeys(texts, text))
-        assert _rerun(cache, 3) == _goals(texts, 3), layout
+    cache = _write_log(tmp_path / "m3", 3, [text] * len(texts))
+    assert _rerun(cache, 3) == _goals(texts, 3)
 
 
 def test_verify_saxl_reproves_invalid_cache_entries(tmp_path):
@@ -464,9 +473,8 @@ def test_verify_saxl_reproves_invalid_cache_entries(tmp_path):
     texts = _cert_texts(3)
     texts[(4, 1, 1)] = Certificate(
         "Hook", ((4, 1, 1), rho, rho), meta={"m": "3"}).to_json()
-    for layout in LAYOUTS:
-        cache = _make_cache(tmp_path / layout, 3, layout, texts)
-        assert _rerun(cache, 3) == _goals([(4, 1, 1)], 3), layout
+    cache = _write_log(tmp_path / "m3", 3, texts.values())
+    assert _rerun(cache, 3) == _goals([(4, 1, 1)], 3)
 
 
 def test_verify_saxl_reproves_cache_entries_with_an_arity_mismatch(tmp_path):
@@ -480,18 +488,14 @@ def test_verify_saxl_reproves_cache_entries_with_an_arity_mismatch(tmp_path):
     assert "arity" in verify_certificate(root)[1]
     texts = _cert_texts(3)
     texts[(4, 1, 1)] = root.to_json()
-    for layout in LAYOUTS:
-        cache = _make_cache(tmp_path / layout, 3, layout, texts)
-        assert _rerun(cache, 3) == [goal], layout
+    cache = _write_log(tmp_path / "m3", 3, texts.values())
+    assert _rerun(cache, 3) == [goal]
 
 
 def test_verify_saxl_verifies_each_target_of_the_log_once(tmp_path, monkeypatch):
     # every line twice: the later copy of a proved target is skipped
     texts = _cert_texts(3)
-    cache = str(tmp_path / "m3")
-    os.makedirs(cache)
-    with open(prover.log_path(cache, 3), "w") as fh:
-        fh.writelines(text + "\n" for text in list(texts.values()) * 2)
+    cache = _write_log(tmp_path / "m3", 3, list(texts.values()) * 2)
     seen = []
     verify = prover.verify_certificate
     monkeypatch.setattr(prover, "verify_certificate",
@@ -506,13 +510,6 @@ def _cold_log(tmp_path, m):
     assert verify_saxl(m, cache_dir=cache)["complete"]
     with open(prover.log_path(cache, m), "rb") as fh:
         return fh.read().splitlines(keepends=True)
-
-
-def _write_log(cache, m, lines):
-    os.makedirs(cache)
-    with open(prover.log_path(cache, m), "wb") as fh:
-        fh.writelines(lines)
-    return cache
 
 
 def test_verify_saxl_resumes_a_log_cut_inside_a_line(tmp_path, capsys):
@@ -535,10 +532,8 @@ def test_verify_saxl_resumes_a_log_cut_inside_a_line(tmp_path, capsys):
     assert expanded_bytes(resumed) == expanded_bytes(b"".join(lines))
     err = capsys.readouterr().err.splitlines()
     assert "line %d: unreadable" % (keep + 1) in err[0]
-    assert err[-1] == ("saxl m=5 cache: %d targets proved from the log, 0 from legacy "
-                       "files, %d in this run; log lines rejected: 1 unreadable; distinct "
-                       "sub-certificates verified from the log: %d"
-                       % (keep, 176 - keep, _distinct_subtrees(lines[:keep])))
+    assert err[-1] == _summary(m, keep, 176 - keep, "1 unreadable",
+                               _distinct_subtrees(lines[:keep]))
     assert _rerun(cache, m) == []
 
 
@@ -549,7 +544,7 @@ def test_verify_saxl_appends_references_into_a_log_without_them(tmp_path):
     m = 5
     texts = _cert_texts(m)
     old = list(texts)[::2]
-    cache = _make_cache(tmp_path / "m5", m, "log", {nu: texts[nu] for nu in old})
+    cache = _write_log(tmp_path / "m5", m, [texts[nu] for nu in old])
     new = [nu for nu in texts if nu not in old]
     assert _rerun(cache, m) == _goals(new, m)
     with open(prover.log_path(cache, m), "rb") as fh:
@@ -630,24 +625,23 @@ def test_verify_saxl_rejects_a_line_that_refers_into_an_invalid_line(tmp_path, c
         assert re.search(r"line %d: invalid \(.*staircase of m" % n, err), err
 
 
-def test_verify_saxl_opens_no_legacy_file_for_a_target_the_log_proves(
-        tmp_path, monkeypatch, capsys):
+def test_verify_saxl_neither_opens_nor_changes_a_legacy_file(tmp_path, monkeypatch, capsys):
+    # valid files of the layout of earlier versions for every target, and a
+    # log that proves every other one: no file is opened or changed, and
+    # the targets missing from the log are proved in this run
     texts = _cert_texts(4)
-    cache = _make_cache(tmp_path / "m4", 4, "files", texts)
     in_log = list(texts)[::2]
-    with open(prover.log_path(cache, 4), "w") as fh:
-        fh.writelines(texts[nu] + "\n" for nu in in_log)
+    cache = _write_legacy_files(_write_log(tmp_path / "m4", 4, [texts[nu] for nu in in_log]),
+                                4, texts)
     opened = []
     monkeypatch.setattr(prover, "open", lambda path, *a: opened.append(path) or open(path, *a),
                         raising=False)
-    assert _rerun(cache, 4) == []
-    legacy = [p for p in opened if p.endswith(".json")]
-    assert sorted(legacy) == sorted(
-        prover.cache_path(cache, 4, nu) for nu in texts if nu not in in_log)
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "saxl m=4 cache: 21 targets proved from the log, 21 from legacy files, "
-        "0 in this run; log lines rejected: none; distinct sub-certificates verified "
-        "from the log: %d" % _distinct_subtrees(texts[nu] for nu in in_log))
+    missing = [nu for nu in texts if nu not in in_log]
+    assert len(missing) == 21
+    assert _rerun(cache, 4) == _goals(missing, 4)
+    assert opened and not [p for p in opened if p.endswith(".json")]
+    assert capsys.readouterr().err.splitlines()[-1] == _summary(
+        4, 21, 21, "none", _distinct_subtrees(texts[nu] for nu in in_log))
 
 
 def test_verify_saxl_reproves_only_a_log_line_that_is_not_utf8(tmp_path, capsys):
@@ -661,24 +655,6 @@ def test_verify_saxl_reproves_only_a_log_line_that_is_not_utf8(tmp_path, capsys)
     assert _rerun(cache, m) == _goals([pt.partitions_of(10)[2]], m)
     err = capsys.readouterr().err
     assert len(re.findall(r"line \d+: ", err)) == 1 and "line 3: unreadable (" in err
-    assert _rerun(cache, m) == []
-
-
-def test_verify_saxl_reads_legacy_files_over_a_table_of_their_own(tmp_path):
-    # legacy files for every other target and no log: the lines the rerun
-    # writes refer only to earlier lines of the log itself, never to a
-    # node decoded from a legacy file
-    m = 5
-    texts = _cert_texts(m)
-    old = list(texts)[::2]
-    cache = _make_cache(tmp_path / "m5", m, "files", {nu: texts[nu] for nu in old})
-    assert _rerun(cache, m) == _goals([nu for nu in texts if nu not in old], m)
-    with open(prover.log_path(cache, m), "rb") as fh:
-        lines = fh.read().splitlines()
-    refs = [(k, ref[i]) for k, line in enumerate(lines, 1)
-            for ref, i in references(json.loads(line))]
-    assert refs and all(0 < at < k for k, (at, _) in refs)
-    assert None not in expand(lines)
     assert _rerun(cache, m) == []
 
 
@@ -939,8 +915,7 @@ def test_verify_saxl_reproves_a_line_that_repeats_a_subtree_with_a_bad_leaf(
         node = node["children"][0]
     assert node["kind"] == "DominanceStaircase"
     node["meta"]["m"] += 1
-    cache = _make_cache(tmp_path / "m5", m, "log",
-                        {nus[i]: texts[nus[i]], nus[j]: json.dumps(docs[j])})
+    cache = _write_log(tmp_path / "m5", m, [texts[nus[i]], json.dumps(docs[j])])
     capsys.readouterr()
     assert _rerun(cache, m) == _goals([nu for nu in nus if nu != nus[i]], m)
     err = capsys.readouterr().err.splitlines()
@@ -976,10 +951,7 @@ def test_verify_saxl_warm_rerun_verifies_each_distinct_subtree_once(tmp_path, ca
     for warm in (cache, inline, backwards):
         capsys.readouterr()
         assert _rerun(warm, m) == []
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            "saxl m=6 cache: 792 targets proved from the log, 0 from legacy files, "
-            "0 in this run; log lines rejected: none; distinct sub-certificates "
-            "verified from the log: %d" % distinct)
+        assert capsys.readouterr().err.splitlines()[-1] == _summary(m, 792, 0, "none", distinct)
 
 
 def test_verify_saxl_warm_read_parses_each_goal_string_once(tmp_path, monkeypatch):
@@ -1083,7 +1055,5 @@ def test_cold_saxl_checks_each_distinct_sub_certificate_once(tmp_path, monkeypat
         assert fh.read().splitlines(keepends=True) == lines
     assert set(full[:len(read)]) == read
     assert len(full) == len(set(full)) and set(full) == _subtrees(lines)
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "saxl m=6 cache: %d targets proved from the log, 0 from legacy files, %d in this "
-        "run; log lines rejected: none; distinct sub-certificates verified from the log: %d"
-        % (keep, 792 - keep, len(read)))
+    assert capsys.readouterr().err.splitlines()[-1] == _summary(
+        m, keep, 792 - keep, "none", len(read))
