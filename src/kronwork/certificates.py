@@ -29,8 +29,7 @@ DECODE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, RecursionError
 
 # A cache's certificates repeat a few goal strings (the staircase and its
 # pieces), so each distinct string is parsed once.  Errors are not cached.
-# Below the roots, a decode with a table parses through the table's own dict
-# instead.
+# Below the roots, a decode parses through its table's own dict instead.
 _parse_goal_text = lru_cache(maxsize=256)(pt.parse_partition)
 
 # json.loads less its encoding detection, which a log of UTF-8 lines does
@@ -53,11 +52,6 @@ def _json(text):
             if not text[end:].strip(" \t\n\r"):
                 return d
     return _decoder.decode(text)
-
-
-def _loads(text):
-    """The JSON value of text, str or UTF-8 bytes."""
-    return _json(text.decode() if type(text) is bytes else text)
 
 
 class _Goals(dict):
@@ -126,33 +120,31 @@ class Table:
         canon = self.canon
         return goal[:1] + tuple([canon.setdefault(p, p) for p in goal[1:]])
 
-    def node(self, kind, goal, children, meta, cast=None):
+    def node(self, kind, goal, children, meta):
         """The table's node of this content, else a new one, kept: made of
-        the table's one copy of each factor and of the meta, taken as
-        cast(meta) when a cast is given.
+        the table's one copy of each factor and of the meta.
 
         The content key is kind, goal, the children by identity (they are
-        the table's already) and the meta as given, by its repr, which
-        tells apart what == does not (1, 1.0 and true; -0.0 and 0.0; the
-        order of keys) and is exact for the values JSON decodes to.  A
-        verifier memo that trusts a node by identity (`verify_certificate`)
-        is therefore sound over the table's nodes, as two nodes that differ
-        in any field are two objects.  A node whose kind is not a string,
-        or whose meta has no repr, is made unshared.  The keys of the new
-        nodes share one string for each repr of a meta (`sys.intern`).
+        the table's already) and the meta by its repr, which tells apart
+        what == does not (1, 1.0 and true; -0.0 and 0.0; the order of keys)
+        and is exact for the values JSON decodes to.  A verifier memo that
+        trusts a node by identity (`verify_certificate`) is therefore sound
+        over the table's nodes, as two nodes that differ in any field are
+        two objects.  A node whose kind is not a string, or whose meta has
+        no repr, is made unshared.  The keys of the new nodes share one
+        string for each repr of a meta (`sys.intern`).
         """
-        made = meta if cast is None else cast(meta)
         try:
             key = type(kind) is str and (kind, goal, tuple(map(id, children)), repr(meta))
         except (ValueError, RecursionError):
             key = None
         if not key:
-            return Certificate(kind, goal, children, made)
+            return Certificate(kind, goal, children, meta)
         node = self.nodes.get(key)
         if node is None:
             text, goal = sys.intern(key[3]), self._factors(goal)
             node = self.nodes[kind, goal, key[2], text] = Certificate(
-                kind, goal, children, self.canon.setdefault(text, made))
+                kind, goal, children, self.canon.setdefault(text, meta))
         return node
 
     def intern(self, cert):
@@ -170,7 +162,7 @@ class Table:
         line (`Certificate.from_json`).  A line that does not decode still
         counts, and holds no node."""
         try:
-            return _decode(_loads(text), self, False)
+            return _decode(_json(text.decode() if type(text) is bytes else text), self, False)
         except DECODE_ERRORS:
             del self.inline[self.ends[-1]:]
             raise
@@ -257,34 +249,26 @@ class Certificate:
         return _node_json(self, Certificate.to_dict)
 
     def to_json(self, table=None):
-        """The certificate as JSON text; with a table, as the next line of
-        the table's log (`Table.encode`)."""
-        if table is None:
-            return json.dumps(self.to_dict())
-        return table.encode(self)
-
-    @staticmethod
-    def from_dict(d):
-        """Decode a certificate from its `to_dict` form."""
-        return _decode(d, None, False)
+        """The certificate as JSON text, as the next line of the table's
+        log (`Table.encode`).  Without a table it is the first line of a
+        fresh one, which writes every node in full: json.dumps(to_dict())."""
+        return (Table() if table is None else table).encode(self)
 
     @staticmethod
     def from_json(text, table=None):
-        """Decode a certificate from JSON text, str or UTF-8 bytes.
+        """Decode a certificate from JSON text, str or UTF-8 bytes, as the
+        next line of the table's log (`Table.decode`); without a table, as
+        the first line of a fresh one.
 
-        With a table (a `Table` that the caller keeps across calls), text
-        is the next line of the table's log (`Table.decode`): each
-        reference resolves to the node it names, and a malformed one is a
-        ValueError.  Every non-root node is the table's node of its content
-        (`Table.node`), so equal subtrees below the roots are one object,
-        and a line with no reference is rejected with the error it gets
-        without a table.  The table holds every distinct sub-certificate
-        while it lives.  A line that does not decode still counts: the next
-        line keeps its number.
+        Each reference resolves to the node it names, and a malformed one
+        is a ValueError: on a first line every reference is.  Every non-root
+        node is the table's node of its content (`Table.node`), so equal
+        subtrees below the root, on this line or an earlier one, are one
+        object.  A table the caller keeps across calls holds every distinct
+        sub-certificate while it lives.  A line that does not decode still
+        counts: the next line keeps its number.
         """
-        if table is not None:
-            return table.decode(text)
-        return _decode(_loads(text), None, False)
+        return (Table() if table is None else table).decode(text)
 
     def leaves(self):
         if not self.children:
@@ -298,35 +282,33 @@ class Certificate:
         return {leaf.kind for leaf in self.leaves()}
 
 
-def _decode(d, table, share):
-    """The certificate of the JSON object d.  With a table, d is a line of
-    its log (or a node of one), a child may be a reference, and every
-    child is shared; with `share` set, d is the table's node of its content
-    (`Table.node`), its goal strings are parsed through the table, and it
-    is appended to the table's inline nodes.
+def _decode(d, table, below):
+    """The certificate of the JSON object d, a line of the table's log or,
+    with `below` set, a node below its root.  A child may be a reference.
+    A node below the root is the table's node of its content (`Table.node`),
+    its goal strings are parsed through the table, and it is appended to
+    the table's inline nodes; a root is a new node.
 
     The fields are read in the order kind, goal, children, meta, so a bad
     goal is reported before any error below it.  The node's meta is
-    dict(meta), and the content key holds the meta as given.
+    dict(meta).
     """
     kind = d["kind"]
     raw = d["goal"]
     try:
-        goal = tuple(map(table.parse if share else _parse_goal_text, raw))
+        goal = tuple(map(table.parse if below else _parse_goal_text, raw))
     except TypeError:  # an unhashable entry: raised as the parser raises it
         goal = tuple(map(pt.parse_partition, raw))
     children = d["children"]
     if children == []:
         children = ()
-    elif table is None:
-        children = tuple([_decode(c, None, False) for c in children])
     else:
         children = tuple([table.resolve(c) if type(c) is list
                           else _decode(c, table, True) for c in children])
-    meta = d.get("meta", {})
-    if not share:
-        return Certificate(kind, goal, children, dict(meta))
-    node = table.node(kind, goal, children, meta, dict)
+    meta = dict(d.get("meta", {}))
+    if not below:
+        return Certificate(kind, goal, children, meta)
+    node = table.node(kind, goal, children, meta)
     table.inline.append(node)
     return node
 

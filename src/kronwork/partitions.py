@@ -211,15 +211,10 @@ def has_distinct_rows(lam):
     return all(lam[i] > lam[i + 1] for i in range(len(lam) - 1))
 
 
-@lru_cache(maxsize=64)
 def partitions_of(n):
     """All partitions of n, none for a negative n, in reverse lex order,
-    which is strictly decreasing order as tuples.
-
-    Each partition is made from the one before it, so only whole results
-    are cached: a recursion over (n, largest part) kept all its
-    sub-results, 38 MB after partitions_of(45).
-    """
+    which is strictly decreasing order as tuples.  Each partition is made
+    from the one before it."""
     if n == 0:
         return ((),)
     if n < 0:

@@ -229,11 +229,12 @@ def test_distance_matches_bfs():
 
 def test_distance_subadditive():
     rng = random.Random(SEED)
+    shapes = [pt.partitions_of(n) for n in range(21)]
     for _ in range(10000):
         n1 = rng.randint(1, 20)
         n2 = rng.randint(1, 20)
-        a, b = (rng.choice(list(pt.partitions_of(n1))) for _ in range(2))
-        c, d = (rng.choice(list(pt.partitions_of(n2))) for _ in range(2))
+        a, b = (rng.choice(shapes[n1]) for _ in range(2))
+        c, d = (rng.choice(shapes[n2]) for _ in range(2))
         lhs = pt.blockwise_distance(pt.hsum(a, c), pt.hsum(b, d))
         assert lhs <= pt.blockwise_distance(a, b) + pt.blockwise_distance(c, d)
 

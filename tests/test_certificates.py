@@ -498,14 +498,14 @@ def _decode_error(call, arg):
 ])
 def test_malformed_goals_raise_as_before_after_a_cached_parse(bad, good):
     def doc(entry):
-        return {"kind": "OracleLeaf", "goal": [entry, good, good],
-                "children": [], "meta": {}}
+        return json.dumps({"kind": "OracleLeaf", "goal": [entry, good, good],
+                           "children": [], "meta": {}})
 
     want = _decode_error(pt.parse_partition, bad)
-    ct.Certificate.from_dict(doc(good))  # good text parsed and cached
+    ct.Certificate.from_json(doc(good))  # good text parsed and cached
     for _ in range(2):
-        assert _decode_error(ct.Certificate.from_dict, doc(bad)) == want
-    assert ct.Certificate.from_dict(doc(good)).goal == (pt.parse_partition(good),) * 3
+        assert _decode_error(ct.Certificate.from_json, doc(bad)) == want
+    assert ct.Certificate.from_json(doc(good)).goal == (pt.parse_partition(good),) * 3
 
 
 _ROW_TWO = ct.base_generalized_dominance((2,), (2,))
@@ -571,8 +571,9 @@ def test_decoding_with_a_table_shares_equal_subtrees_only():
         for decode in (ct.Certificate.from_json, read):
             with pytest.raises(error):
                 decode(wrap(doc))
-    # of these only the leaf whose meta is given as pairs decodes, and is kept
-    assert len(table.nodes) == 1 + len(variants) + 1
+    # of these only the leaf whose meta is given as pairs decodes: its node
+    # holds the meta as a dict, so it is the table's node of leaf's content
+    assert len(table.nodes) == 1 + len(variants)
 
 
 _LINE = json.dumps({"kind": "OracleLeaf", "goal": ["2,1", "2,1", "2,1"], "children": [],
@@ -674,3 +675,28 @@ def test_decoded_nodes_with_equal_metas_hold_one_meta():
     line = ct.conjugate_cert(ct.base_dominance(2, (1, 1, 1)), ()).to_json()
     (c,) = ct.Certificate.from_json(line, table).children
     assert a.meta == {"m": 2} and a.meta is b.meta is c.meta
+
+
+def test_a_lone_certificate_decodes_each_distinct_subtree_to_one_object(monkeypatch):
+    # a lone certificate is the first line of a fresh log: the 10 nodes
+    # below this root have 7 distinct contents, decoded to 7 objects, and
+    # the verifier checks each of them in full once
+    def below(c):
+        return [n for k in c.children for n in [k] + below(k)]
+
+    cert = ct.Certificate.from_json(
+        prove_in_staircase_square(6, (14, 2, 1, 1, 1, 1, 1)).to_json())
+    nodes = below(cert)
+    assert len(nodes) == 10 and len({json.dumps(c.to_dict()) for c in nodes}) == 7
+    assert len({id(c) for c in nodes}) == 7
+    full = []
+    walk = vf._verify
+
+    def spy(c, depth, seen, shapes):
+        if depth and id(c) not in seen:
+            full.append(id(c))
+        return walk(c, depth, seen, shapes)
+
+    monkeypatch.setattr(vf, "_verify", spy)
+    assert verify_certificate(cert) == (True, "ok")
+    assert sorted(full) == sorted({id(c) for c in nodes})

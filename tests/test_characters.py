@@ -243,12 +243,10 @@ def test_char_row_and_class_sizes_follow_partition_order():
 
 
 def test_character_caches_are_bounded_and_hold_the_default_ceiling():
-    # every character table up to the default ceiling fits without eviction,
-    # and so do the partitions they enumerate
+    # every character table up to the default ceiling fits without eviction
     caches = {name: f for name, f in vars(ch).items()
               if hasattr(f, "cache_parameters") and f.__module__ == ch.__name__}
     assert set(caches) >= {"_mask_row", "_char_row", "_class_sizes"}
-    caches["partitions_of"] = pt.partitions_of
     for name, f in caches.items():
         assert f.cache_parameters()["maxsize"] is not None, name
         f.cache_clear()

@@ -55,7 +55,7 @@ def test_prove_and_verify_cert(tmp_path, capsys):
     code, doc = run(capsys, "prove", "--m", "4", "--nu", "4,3,2,1")
     assert code == 0
     assert doc["found"] is True and doc["verified"] is True
-    cert = Certificate.from_dict(doc["certificate"])
+    cert = Certificate.from_json(json.dumps(doc["certificate"]))
     ok, msg = verify_certificate(cert)
     assert ok, msg
     path = tmp_path / "cert.json"

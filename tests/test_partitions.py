@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -131,6 +134,32 @@ def test_partitions_of_is_strictly_decreasing_and_complete():
         assert all(pt.check_partition(p) == p and pt.size(p) == n for p in parts)
         assert len(parts) == pt.partition_count(n)
     assert pt.partitions_of(-1) == ()
+
+
+# verify_saxl in a fresh interpreter, so that no earlier call is cached;
+# prints the blocks still allocated by partitions_of once it has returned
+_LEFT_BY_PARTITIONS_OF = """
+import gc, inspect, tracemalloc
+from kronwork import partitions as pt
+from kronwork.prover import verify_saxl
+tracemalloc.start()
+verify_saxl(6)
+gc.collect()
+lines, first = inspect.getsourcelines(pt.partitions_of)
+print(len(tracemalloc.take_snapshot().filter_traces(
+    [tracemalloc.Filter(True, pt.__file__, line)
+     for line in range(first, first + len(lines))]).traces))
+"""
+
+
+def test_a_finished_saxl_run_keeps_no_list_of_partitions():
+    # a cache of partitions_of kept the 451,276 targets of m=10, about
+    # 71 MB, for the life of the process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pt.__file__)))
+    out = subprocess.run([sys.executable, "-c", _LEFT_BY_PARTITIONS_OF],
+                         env=dict(os.environ, PYTHONPATH=src), check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["0"]
 
 
 def test_move_neighbors_small():

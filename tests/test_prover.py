@@ -332,7 +332,7 @@ def _rerun(cache, m, **kw):
     assert after == before and new.startswith(old)
     # the first appended line may follow a newline that ends a cut line
     docs = expand(new.splitlines())[len(old.splitlines()):]
-    certs = [Certificate.from_dict(doc) for doc in docs]
+    certs = [Certificate.from_json(json.dumps(doc)) for doc in docs]
     assert all(verify_certificate(c)[0] for c in certs)
     return [c.goal for c in certs]
 
@@ -1010,7 +1010,7 @@ def test_verify_saxl_checks_each_fresh_certificate_before_writing_it(
     if cached:
         with open(prover.log_path(cache, m), "rb") as fh:
             docs = expand(fh.read().splitlines())
-        assert [Certificate.from_dict(doc).goal[0] for doc in docs] == list(
+        assert [Certificate.from_json(json.dumps(doc)).goal[0] for doc in docs] == list(
             targets[:targets.index(nu)])
 
 

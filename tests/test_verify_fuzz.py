@@ -6,13 +6,13 @@ perturbed goal rows, another kind), and random JSON shaped like a
 certificate, with huge one-row goals among the rows.  For every input that
 decodes, `verify_certificate` must return (bool, str) without raising, and a
 goal it accepts with n <= 8 must be positive according to the oracle.
-Decoding, also as a line of a log, must agree with a reference copy of the
-plain decoder, except that a list child is a reference to an earlier line
-there, so an error too.  Sequences of certificates verified over one
-table, one memo and one dict of factor shapes, as the saxl log reader
-verifies its lines, must get the verdicts of verifying each certificate
-alone, also once they are written as a log whose lines refer back to each
-other.
+A lone certificate decodes as the first line of a fresh log, and must agree
+with a reference decoder that reads every child as a node, except that a
+list child is a reference to an earlier line there, so an error too.
+Sequences of certificates verified over one table, one memo and one dict of
+factor shapes, as the saxl log reader verifies its lines, must get the
+verdicts of verifying each certificate alone, also once they are written as
+a log whose lines refer back to each other.
 """
 
 import copy
@@ -166,17 +166,21 @@ def _next_line(table, text):
     return Certificate.from_json(text, table)
 
 
+def _lone(doc):
+    """doc decoded as a lone certificate: the first line of a fresh log."""
+    return Certificate.from_json(json.dumps(doc))
+
+
 def check_verifier(doc):
     want = _outcome(_decode_reference, doc)
-    assert _outcome(Certificate.from_dict, doc) == want
-    # the first line of a log, where a list child names no node
-    line = _outcome(lambda d: _next_line(Table(), json.dumps(d)), doc)
+    # on a first line a list child is a reference that names no node
+    got = _outcome(_lone, doc)
     if _has_list_child(doc):
-        assert type(line) is type(want) is tuple
+        assert type(got) is type(want) is tuple
     else:
-        assert line == want
+        assert got == want
     try:
-        cert = Certificate.from_dict(doc)
+        cert = _lone(doc)
     except DECODE_ERRORS:
         return
     ok, msg = verify_certificate(cert)
@@ -192,7 +196,7 @@ FUZZ = settings(max_examples=150, deadline=None,
 def test_real_certificates_verify():
     assert len(REAL) == 1 + 3 + 11 + 42
     for doc in REAL:
-        assert verify_certificate(Certificate.from_dict(doc)) == (True, "ok")
+        assert verify_certificate(_lone(doc)) == (True, "ok")
 
 
 @FUZZ
@@ -331,7 +335,7 @@ def test_one_memo_and_shapes_give_the_verdicts_of_none_on_the_fuzz_corpus(data):
     for _ in range(data.draw(st.integers(2, 6))):
         doc = _mutate(data) if data.draw(st.booleans()) else data.draw(RANDOM_CERTS)
         try:
-            alone = Certificate.from_dict(doc)
+            alone = _lone(doc)
             shared = _next_line(table, json.dumps(doc))
         except DECODE_ERRORS:
             continue
